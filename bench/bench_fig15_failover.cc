@@ -71,7 +71,7 @@ std::optional<SimTime> run(Scenario scenario, ControllerKind kind,
       exp.fabric().inject_recovery(SwitchId(3));
       break;
     case Scenario::kWithCrash:
-      exp.controller().crash_component("monitoring");
+      exp.controller().crash_component("monitoring0");
       break;
   }
 

@@ -13,19 +13,19 @@
 // fabric (delay x0.1, switch op_service x0.05) so the controller is the
 // measured resource, ECMP-style path spread, and a 16-worker pool — run
 // twice with IDENTICAL config except nib_shards:
-//   hot.unsharded — nib_shards=0: the single Monitoring Server's per-reply
-//                   service step is the ceiling (~0.8M ops/sim-s);
-//   hot.sharded   — nib_shards=4: per-shard NIB event handlers + monitoring
-//                   instances + the commit pump. Carries the 10M-OP soak
-//                   tier (ZENITH_SOAK_OPS overrides the volume; set it to
-//                   100000000 for the opt-in 100M tier).
+//   hot.unsharded — nib_shards=1 (the default): one NIB Event Handler, one
+//                   Monitoring Server and the commit pump; the single
+//                   shard's service steps are the ceiling;
+//   hot.sharded   — nib_shards=4: four of each per-shard stage. Carries the
+//                   10M-OP soak tier (ZENITH_SOAK_OPS overrides the volume;
+//                   set it to 100000000 for the opt-in 100M tier).
 //
 // Headline metrics: batching_speedup_16v1 (default fabric) and
-// sharding_speedup_4v1 (hot tier, sharded over unsharded at identical
+// sharding_speedup_4v1 (hot tier, four shards over one at identical
 // settings). A chaos-off probe pair additionally reruns a short bs=16
-// workload sharded and unsharded and asserts fingerprint equality
+// workload at one and four shards and asserts fingerprint equality
 // (fingerprint_match) — the throughput claim is only meaningful because the
-// sharded path is outcome-identical.
+// shard count is outcome-identical.
 //
 // Flags: --quick (small topology + 40k-OP arms for CI smoke), --json
 // (write BENCH_soak.json for scripts/ci.sh's gating baseline diff).
@@ -50,7 +50,7 @@ struct ArmResult {
 /// The default-fabric arms (and the chaos-off equivalence probes): edge
 /// endpoints, deterministic BFS paths, the stock 4-worker pipeline.
 ArmResult run_arm(std::size_t batch_size, std::size_t target_ops, bool quick,
-                  std::size_t nib_shards = 0, bool chaos = true) {
+                  std::size_t nib_shards = 1, bool chaos = true) {
   ExperimentConfig config;
   config.seed = 20260807;
   config.kind = ControllerKind::kZenithNR;
@@ -184,12 +184,12 @@ int main(int argc, char** argv) {
   ArmResult bs16 = run_arm(16, soak_ops, opts.quick);
   print_arm("bs=16", bs16);
 
-  // Hot-path tier: unsharded control first (a throughput estimate), then
-  // the sharded arm carrying the 10M-OP soak (100M via ZENITH_SOAK_OPS).
+  // Hot-path tier: one-shard control first (a throughput estimate), then
+  // the four-shard arm carrying the 10M-OP soak (100M via ZENITH_SOAK_OPS).
   std::size_t hot_control_ops = opts.quick ? 40'000 : 300'000;
-  ArmResult hot_unsharded =
-      run_hot_arm(/*nib_shards=*/0, hot_control_ops, opts.quick);
-  print_arm("hot", hot_unsharded);
+  ArmResult hot_one =
+      run_hot_arm(/*nib_shards=*/1, hot_control_ops, opts.quick);
+  print_arm("hot", hot_one);
   ArmResult hot_sharded = run_hot_arm(
       /*nib_shards=*/4, sharded_soak_ops(opts.quick), opts.quick);
   print_arm("hot+shards", hot_sharded);
@@ -198,9 +198,9 @@ int main(int argc, char** argv) {
                        ? bs16.soak.ops_per_sim_second() /
                              bs1.soak.ops_per_sim_second()
                        : 0.0;
-  double shard_speedup = hot_unsharded.soak.ops_per_sim_second() > 0.0
+  double shard_speedup = hot_one.soak.ops_per_sim_second() > 0.0
                              ? hot_sharded.soak.ops_per_sim_second() /
-                                   hot_unsharded.soak.ops_per_sim_second()
+                                   hot_one.soak.ops_per_sim_second()
                              : 0.0;
   std::printf("\n  batching speedup (bs=16 / bs=1):          %.2fx\n",
               speedup);
@@ -208,28 +208,28 @@ int main(int argc, char** argv) {
               shard_speedup);
 
   // Equivalence probe: a short chaos-off workload (comparable OpId streams)
-  // run sharded and unsharded must land on byte-identical NIB state — both
-  // the classic global fingerprint and the shard-order fold.
+  // run at one and four shards must land on byte-identical NIB state — both
+  // the global fingerprint and the shard-order fold.
   std::size_t probe_ops = opts.quick ? 20'000 : 100'000;
-  ArmResult probe_classic =
-      run_arm(16, probe_ops, opts.quick, /*nib_shards=*/0, /*chaos=*/false);
+  ArmResult probe_one =
+      run_arm(16, probe_ops, opts.quick, /*nib_shards=*/1, /*chaos=*/false);
   ArmResult probe_sharded =
       run_arm(16, probe_ops, opts.quick, /*nib_shards=*/4, /*chaos=*/false);
   bool fingerprint_match =
-      probe_classic.soak.nib_fingerprint == probe_sharded.soak.nib_fingerprint &&
-      probe_classic.folded_fingerprint == probe_sharded.folded_fingerprint &&
-      probe_classic.soak.ops_completed == probe_sharded.soak.ops_completed;
-  std::printf("  sharded-vs-unsharded fingerprints:        %s\n",
+      probe_one.soak.nib_fingerprint == probe_sharded.soak.nib_fingerprint &&
+      probe_one.folded_fingerprint == probe_sharded.folded_fingerprint &&
+      probe_one.soak.ops_completed == probe_sharded.soak.ops_completed;
+  std::printf("  1-shard-vs-4-shard fingerprints:          %s\n",
               fingerprint_match ? "match" : "MISMATCH");
 
   std::size_t total_violations =
       bs1.soak.invariant_violations + bs16.soak.invariant_violations +
-      hot_unsharded.soak.invariant_violations +
+      hot_one.soak.invariant_violations +
       hot_sharded.soak.invariant_violations +
-      probe_classic.soak.invariant_violations +
+      probe_one.soak.invariant_violations +
       probe_sharded.soak.invariant_violations;
   bool clean = total_violations == 0 && bs1.soak.order_ok &&
-               bs16.soak.order_ok && hot_unsharded.soak.order_ok &&
+               bs16.soak.order_ok && hot_one.soak.order_ok &&
                hot_sharded.soak.order_ok && fingerprint_match;
   std::printf("  invariants: %s\n", clean ? "clean" : "VIOLATIONS SEEN");
 
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
     bench.add("bs1.ops_per_sim_sec", bs1.soak.ops_per_sim_second(), "1/s");
     bench.add("bs16.ops_per_sim_sec", bs16.soak.ops_per_sim_second(), "1/s");
     bench.add("hot.unsharded.ops_per_sim_sec",
-              hot_unsharded.soak.ops_per_sim_second(), "1/s");
+              hot_one.soak.ops_per_sim_second(), "1/s");
     bench.add("hot.sharded.ops_per_sim_sec",
               hot_sharded.soak.ops_per_sim_second(), "1/s");
     bench.add("batching_speedup_16v1", speedup, "x");

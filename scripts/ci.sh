@@ -28,9 +28,9 @@ run_suite() {
 run_suite release "" -DCMAKE_BUILD_TYPE=Release
 
 # Lockstep conformance gate: the full model-implementation grid (3
-# topologies x batch sizes x 2 fault schedules) must report zero
-# divergences. Runs on the Release tree right after its suite; a divergence
-# prints the shrunk reproducer trace and fails CI.
+# topologies x batch sizes x NIB shard counts x 2 fault schedules) must
+# report zero divergences. Runs on the Release tree right after its suite; a
+# divergence prints the shrunk reproducer trace and fails CI.
 echo "=== [release] lockstep conformance grid ==="
 "$repo/build-ci-release/src/mc/zenith_lockstep" --quick
 
@@ -43,10 +43,9 @@ run_suite tsan 'parallel_test|sim_test|chaos_test|lockstep_test' \
   -DCMAKE_BUILD_TYPE=Debug -DZENITH_SANITIZE=thread
 
 # Sharded hot-path tier (PR 8): the lock-free stage queues' threaded stress
-# cases and the sharded NIB pipeline — including the commit-thread-pool
-# byte-equivalence case and a chaos soak with a real executor — re-run
-# under TSan with a bumped OP budget. This is where the SPSC/MPSC memory-
-# order arguments and the parallel-commit disjointness are machine-checked.
+# cases and the stage pipeline's shard-count equivalence sweep and chaos
+# soak re-run under TSan with a bumped OP budget. This is where the SPSC/MPSC
+# memory-order arguments are machine-checked.
 echo "=== [sharded] queue stress + sharded soak under TSan (ZENITH_SOAK_OPS=20000) ==="
 ZENITH_SOAK_OPS=20000 \
   ctest --test-dir "$repo/build-ci-tsan" --output-on-failure \
@@ -77,10 +76,8 @@ GTEST_FILTER='ShardedFingerprintSet.*' \
 
 # Consistency tier (PR 10): the adaptive-consistency suite — NIB eventual-
 # log units, the E1/E2 model-checker cells, the eventual chaos grid under
-# the lockstep oracle, and the deliberate-defect (skipped-barrier) negative
-# tests — runs in Release and again under TSan: eventual commits cross the
-# CommitPump/monitoring threads in the sharded build, exactly where a torn
-# log cursor would corrupt the staleness bound silently.
+# the lockstep oracle at one and four NIB shards, and the deliberate-defect
+# (skipped-barrier) negative tests — runs in Release and again under TSan.
 echo "=== [consistency] ctest -L consistency (Release) ==="
 ctest --test-dir "$repo/build-ci-release" --output-on-failure -L consistency
 echo "=== [consistency] ctest -L consistency (TSan) ==="

@@ -6,8 +6,8 @@
 
 namespace zenith::chaos {
 
-// The pool machinery lives in common/executor.* since PR 8 (the sharded
-// commit pipeline in src/core reuses it); these wrappers keep the chaos API.
+// The pool machinery lives in common/executor.* (the model checker reuses
+// it); these wrappers keep the chaos API.
 
 std::size_t default_bench_threads() { return zenith::default_bench_threads(); }
 

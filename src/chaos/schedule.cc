@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "core/controller.h"
 
 namespace zenith::chaos {
 
@@ -80,22 +81,9 @@ std::uint64_t ChaosSchedule::fingerprint() const {
   return hash;
 }
 
-namespace {
-
 std::vector<std::string> component_roster(const CoreConfig& core) {
-  std::vector<std::string> names{"dag_scheduler", "nib_event_handler",
-                                 "monitoring", "topo_handler",
-                                 "failover_manager"};
-  for (std::size_t i = 0; i < core.num_sequencers; ++i) {
-    names.push_back("sequencer" + std::to_string(i));
-  }
-  for (std::size_t i = 0; i < core.num_workers; ++i) {
-    names.push_back("worker" + std::to_string(i));
-  }
-  return names;
+  return ZenithController::component_names(core);
 }
-
-}  // namespace
 
 ChaosSchedule generate_schedule(const Topology& topo, const CoreConfig& core,
                                 const ChaosScheduleConfig& config,

@@ -1,28 +1,11 @@
-// Shared thread-pool machinery (PR 8).
-//
-// Two layers:
-//
-//  - parallel_for / default_bench_threads: the one-shot fork-join used by
-//    the chaos campaign runner and bench grids (moved here from
-//    src/chaos/parallel.* so src/core can use the same machinery without a
-//    core -> chaos dependency; chaos::parallel_for now delegates).
-//
-//  - PersistentExecutor: a long-lived pool for the sharded commit pipeline,
-//    where a fork-join fires on every CommitPump service step and spawning
-//    OS threads per step would dominate the work. Workers park on a condvar
-//    between runs; run(n, fn) claims indexes from an atomic counter and
-//    returns after all n complete (rethrowing the first body exception).
+// Shared fork-join machinery: the one-shot parallel_for used by the chaos
+// campaign runner, the model checker and the bench grids (moved here from
+// src/chaos/parallel.* so lower layers can use it without a dependency on
+// chaos; chaos::parallel_for delegates).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace zenith {
 
@@ -38,38 +21,5 @@ std::size_t default_bench_threads();
 /// the pool drains.
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
-
-class PersistentExecutor {
- public:
-  /// Spawns `threads` workers immediately; they park until run() is called.
-  /// threads == 0 is clamped to 1.
-  explicit PersistentExecutor(std::size_t threads);
-  ~PersistentExecutor();
-
-  PersistentExecutor(const PersistentExecutor&) = delete;
-  PersistentExecutor& operator=(const PersistentExecutor&) = delete;
-
-  std::size_t threads() const { return workers_.size(); }
-
-  /// Fork-join: body(0) .. body(n-1) across the pool, the caller's thread
-  /// included. Blocks until every index has completed. Not reentrant.
-  void run(std::size_t n, const std::function<void(std::size_t)>& body);
-
- private:
-  void worker_loop();
-  void drain(const std::function<void(std::size_t)>& body);
-
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  std::size_t job_size_ = 0;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::atomic<std::size_t> next_{0};
-  std::size_t active_ = 0;
-  std::exception_ptr first_error_;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
 
 }  // namespace zenith

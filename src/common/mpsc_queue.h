@@ -2,7 +2,7 @@
 // (Vyukov's intrusive algorithm: producers contend only on one atomic
 // exchange of the tail, the consumer walks the linked list).
 //
-// The stage queue of the sharded commit pipeline (PR 8): each NIB shard has
+// The ACK-commit stage queue of the stage pipeline (PR 8): each NIB shard has
 // one, fed by that shard's Monitoring Server instance and drained by the
 // CommitPump. On the simulator thread both ends are sequential, so the
 // lock-free path is exercised for real only by queue_test's producer-swarm

@@ -1,20 +1,15 @@
 // SpscRing: a bounded lock-free single-producer / single-consumer ring.
 //
-// The per-shard NIB-event channel of the sharded hot path (PR 8): the NIB
+// The per-shard NIB-event channel of the stage pipeline (PR 8): the NIB
 // publishes a shard's events into that shard's ring and the shard's NIB
-// Event Handler drains it. Outside a parallel commit section both ends run
-// on the simulator thread (the lock-free discipline is then trivially
-// correct); inside a parallel commit section each shard's ring has exactly
-// one producer — the pool thread applying that shard's commit job — and no
-// consumer (the simulator thread is blocked on the join), which is exactly
-// the SPSC contract. queue_test exercises the concurrent case directly with
-// a real producer/consumer thread pair under TSan.
+// Event Handler drains it. In the controller both ends run on the simulator
+// thread (the lock-free discipline is then trivially correct); queue_test
+// exercises the concurrent case directly with a real producer/consumer
+// thread pair under TSan.
 //
 // Capacity is a power of two and grows on demand — but grow() is only legal
 // when no concurrent access is possible (in practice: the simulator thread,
-// which is both producer and consumer outside parallel sections). Parallel
-// sections never need it: a commit section pushes at most one coalesced
-// event per shard.
+// which is both producer and consumer).
 #pragma once
 
 #include <atomic>
@@ -79,7 +74,7 @@ class SpscRing {
 
   /// Doubles the capacity, preserving FIFO order. NOT thread-safe: callable
   /// only when producer and consumer are the same thread (the simulator
-  /// thread outside parallel commit sections).
+  /// thread).
   void grow() {
     std::vector<T> bigger(buffer_.size() * 2);
     const std::size_t head = head_.load(std::memory_order_relaxed);

@@ -1,6 +1,5 @@
 #include "core/commit_pump.h"
 
-#include <algorithm>
 #include <string>
 
 #include "obs/obs.h"
@@ -9,90 +8,47 @@ namespace zenith {
 
 CommitPump::CommitPump(CoreContext* ctx)
     : Component(ctx->sim, "commit_pump", ctx->config.monitoring_service),
-      ctx_(ctx) {
-  const std::size_t shards = ctx->config.nib_shards;
-  jobs_.resize(shards);
-  applied_.resize(shards);
-  applied_used_.assign(shards, 0);
-  if (ctx->config.commit_threads >= 2) {
-    executor_ = std::make_unique<PersistentExecutor>(
-        std::min(ctx->config.commit_threads, shards));
-  }
-}
+      ctx_(ctx) {}
 
 bool CommitPump::try_step() {
-  const std::size_t shards = jobs_.size();
-  bool any = false;
-  for (std::size_t s = 0; s < shards; ++s) {
-    // Drain the whole backlog queued at step time: the step applies it as
-    // one batched NIB transaction per shard (see header). Jobs pushed by
-    // later simulator events belong to the next service step.
-    jobs_[s].clear();
-    while (auto job = ctx_->commit_queues[s]->try_pop()) {
-      jobs_[s].push_back(std::move(*job));
-      any = true;
-    }
+  // Drain the whole backlog queued at step time, shard by shard: the step
+  // applies it as one batched NIB transaction per shard (see header). Jobs
+  // pushed by later simulator events belong to the next service step.
+  jobs_.clear();
+  for (auto& queue : ctx_->commit_queues) {
+    while (auto job = queue->try_pop()) jobs_.push_back(std::move(*job));
   }
-  if (!any) return false;
-
-  Nib& nib = *ctx_->nib;
+  if (jobs_.empty()) return false;
   // Eventual mode (PR 10): install-only batches never reach the commit
   // queues (they route to the eventual log at the monitor), so every job
-  // here carries a delete — strong-class. Barriers are illegal inside the
-  // parallel section (pool threads), so drain the eventual log up front.
-  if (ctx_->config.consistency.any_eventual()) nib.strong_barrier();
-  auto apply_shard = [&](std::size_t s) {
-    applied_used_[s] = 0;
-    for (const CommitJob& job : jobs_[s]) {
-      if (applied_[s].size() <= applied_used_[s]) applied_[s].emplace_back();
-      AppliedBatch& batch = applied_[s][applied_used_[s]++];
-      batch.sw = job.sw;
-      batch.stale = 0;
-      batch.fresh.clear();
-      for (const Op& op : job.ops) {
-        // Same freshness rule as the replicated log's apply path: an ACK
-        // can outlive its OP's SENT state (takeover requeue, recovery
-        // reset); only OPs still SENT commit, the level-triggered pipeline
-        // re-drives the rest.
-        if (nib.has_op(op.id) && nib.op_status(op.id) == OpStatus::kSent) {
-          batch.fresh.push_back(op);
-        } else {
-          ++batch.stale;
-        }
-      }
-      batch.committed = nib.commit_ack_batch(job.sw, batch.fresh);
-    }
-  };
-
-  nib.begin_parallel_commits();
-  if (executor_ != nullptr) {
-    executor_->run(shards, apply_shard);
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) apply_shard(s);
-  }
-  nib.end_parallel_commits();  // replays events + ring wakes in shard order
-
-  if (ctx_->observability != nullptr) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t b = 0; b < applied_used_[s]; ++b) {
-        const AppliedBatch& batch = applied_[s][b];
-        for (std::size_t i = 0; i < batch.stale; ++i) {
-          ctx_->observability->count("commit_stale_ops");
-        }
-        for (const Op& op : batch.fresh) {
-          ctx_->observability->op_stage(
-              op.id, name(), "op-ack",
-              "sw=" + std::to_string(batch.sw.value()));
-          ctx_->observability->op_closed(op.id, name(), "done");
-        }
-        if (batch.committed > 0) {
-          ctx_->observability->batch_committed(batch.sw, batch.committed);
-        }
-      }
-    }
-  }
-  for (auto& shard_jobs : jobs_) shard_jobs.clear();
+  // here carries a delete — strong-class. Drain the eventual log first (E2).
+  if (ctx_->config.consistency.any_eventual()) ctx_->nib->strong_barrier();
+  for (const CommitJob& job : jobs_) apply(job);
+  jobs_.clear();
   return true;
+}
+
+void CommitPump::apply(const CommitJob& job) {
+  Nib& nib = *ctx_->nib;
+  obs::Observability* o = ctx_->observability;
+  fresh_.clear();
+  for (const Op& op : job.ops) {
+    // Same freshness rule as the replicated log's apply path: an ACK can
+    // outlive its OP's SENT state (takeover requeue, recovery reset); only
+    // OPs still SENT commit, the level-triggered pipeline re-drives the rest.
+    if (nib.has_op(op.id) && nib.op_status(op.id) == OpStatus::kSent) {
+      fresh_.push_back(op);
+    } else if (o != nullptr) {
+      o->count("commit_stale_ops");
+    }
+  }
+  const std::size_t committed = nib.commit_ack_batch(job.sw, fresh_);
+  if (o == nullptr) return;
+  for (const Op& op : fresh_) {
+    o->op_stage(op.id, name(), "op-ack", "sw=" + std::to_string(job.sw.value()));
+    o->op_closed(op.id, name(), "done");
+  }
+  if (committed > 0) o->batch_committed(job.sw, committed);
 }
 
 }  // namespace zenith

@@ -2,7 +2,7 @@
 //
 // Queue placement mirrors the paper's architecture (Table 1, Figure 6):
 // queues that cross microservice boundaries live in the NIB and are
-// persistent (OPQueueNIB, the DAG request queue, the NIB event queue);
+// persistent (OPQueueNIB, the DAG request queue, the NIB event rings);
 // queues internal to one microservice are volatile and die with it
 // (Sequencer wake queue inside the DE; Topo Event Handler queues inside the
 // OFC). The fabric's reply/health streams model network sockets into the
@@ -75,8 +75,8 @@ struct CoreConfig {
   /// OP batching (the PR-4 throughput lever): the Sequencer coalesces the
   /// ready OPs of one scheduling pass into per-switch batches of at most
   /// this many OPs; a Worker forwards a whole batch as one message and the
-  /// switch ACKs it with one batch-ACK that the Monitoring Server commits
-  /// in a single indexed NIB transaction. 1 (the default) reproduces the
+  /// switch ACKs it with one batch-ACK that the CommitPump commits in a
+  /// single indexed NIB transaction. 1 (the default) reproduces the
   /// unbatched pipeline byte-for-byte: every batch is a singleton, pushed
   /// inline in scan order, and singleton batches travel as the classic
   /// per-OP SwitchRequest/SwitchReply.
@@ -101,6 +101,8 @@ struct CoreConfig {
   /// Per-step service time of each component type.
   SimTime worker_service = micros(30);
   SimTime sequencer_service = micros(40);
+  /// The ACK-commit half of monitoring: one CommitPump step (one batched
+  /// NIB transaction per shard).
   SimTime monitoring_service = micros(20);
   SimTime topo_handler_service = micros(40);
   SimTime scheduler_service = micros(50);
@@ -122,43 +124,24 @@ struct CoreConfig {
   /// Directed reconciliation (ZENITH-DR, §3.9): on switch recovery, dump
   /// and diff instead of wiping the TCAM.
   bool directed_reconciliation = false;
-  /// Sharded hot path (PR 8). 0 or 1 (the default) keeps the classic
-  /// single-pipeline wiring byte-identical: one NIB Event Handler draining
-  /// the subscribe()-queue, one Monitoring Server on the transport streams,
-  /// ACKs committed inline. >= 2 partitions the NIB by switch into that
-  /// many shards, each with its own SPSC event ring + NIB Event Handler +
-  /// Monitoring Server instance, a Reply Router demuxing the transport
-  /// streams per shard, and a CommitPump applying per-shard ACK-commit jobs
-  /// from lock-free MPSC stage queues. Simulated-time throughput scales
-  /// with the shard count because the per-shard service steps overlap in
-  /// sim time; final NIB state is fingerprint-equal to the unsharded run
-  /// on chaos-free workloads (sharded_nib_test, bench_soak's equivalence
-  /// probe).
-  std::size_t nib_shards = 0;
-  /// Sharded mode: NIB events one handler instance routes per service step
-  /// (the batch amortizes the per-step service charge that saturated the
-  /// single unsharded handler).
-  std::size_t nib_event_batch = 16;
-  /// Sharded mode: transport messages the Reply Router demuxes per step.
-  std::size_t reply_route_batch = 16;
+  /// NIB shards of the stage pipeline (DESIGN.md §3b). The NIB partitions
+  /// its OP rows and status indexes by switch into this many shards, each
+  /// with its own SPSC event ring, NIB Event Handler ("nib_event_handler<s>")
+  /// and Monitoring Server ("monitoring<s>"); a Reply Router demuxes the
+  /// transport streams per shard, and a CommitPump applies the per-shard
+  /// ACK-commit jobs from lock-free MPSC stage queues. One shard (the
+  /// default) is the same pipeline with one lane; more shards overlap the
+  /// per-shard service steps in simulated time. Final NIB state is
+  /// fingerprint-equal across shard counts on chaos-free workloads
+  /// (sharded_nib_test, bench_soak's equivalence probe). Must be >= 1.
+  std::size_t nib_shards = 1;
   /// Service time of one Reply Router step. Cheap by design: routing is a
   /// hash + queue push, no NIB access.
   SimTime reply_route_service = micros(2);
-  /// Service time of one sharded Monitoring Server step. The classic 20us
-  /// monitoring_service models ACK validation *plus* the inline NIB commit
-  /// transaction; in sharded mode the commit half moves to the CommitPump
-  /// (which charges its own service per batched transaction), so the
-  /// per-shard monitor charges only the validation/forward half here.
-  /// Charging the full 20us again would double-count the commit work the
-  /// pump already pays for.
+  /// Service time of one Monitoring Server step: ACK validation and
+  /// forwarding only. The NIB commit transaction is the CommitPump's step,
+  /// charged at monitoring_service per batched transaction.
   SimTime monitoring_forward_service = micros(10);
-  /// Sharded mode: OS threads applying commit jobs inside a CommitPump
-  /// step. 0/1 = apply serially in ascending shard order on the simulator
-  /// thread; >= 2 = apply concurrently on a persistent pool. Byte-identical
-  /// either way (shards are disjoint and events replay in shard order —
-  /// asserted by sharded_nib_test, exercised under TSan in CI).
-  std::size_t commit_threads = 0;
-  bool sharded() const { return nib_shards >= 2; }
   /// Adaptive per-OP-class consistency (PR 10; see nib/consistency.h). The
   /// default (all-strong) is byte-identical to the pre-knob pipeline:
   /// nothing constructed, no barrier calls, every golden cell unchanged.
@@ -182,7 +165,7 @@ struct OpBatch {
   std::vector<OpId> ops;
 };
 
-/// One ACK-commit unit of the sharded pipeline: the acked install/delete
+/// One ACK-commit unit of the stage pipeline: the acked install/delete
 /// OPs of one switch, flowing from that shard's Monitoring Server instance
 /// through the shard's MPSC queue to the CommitPump.
 struct CommitJob {
@@ -215,16 +198,15 @@ struct CoreContext {
   // -- NIB-resident (persistent) queues --------------------------------------
   NadirFifo<DagRequest> dag_request_queue;          // apps -> DAG Scheduler
   std::vector<std::unique_ptr<NadirFifo<OpBatch>>> op_queues;  // OPQueueNIB shards
-  NadirFifo<NibEvent> nib_event_queue;              // NIB -> DE event handler
+  /// Per-shard NIB event rings (NIB -> DE event handlers). They survive DE
+  /// crashes. Lock-free SPSC: the NIB publishes, the shard's NIB Event
+  /// Handler drains.
+  std::vector<std::unique_ptr<SpscRing<NibEvent>>> shard_event_rings;
 
   // -- DE-internal (volatile) ---------------------------------------------------
   std::vector<std::unique_ptr<NadirFifo<NibEvent>>> sequencer_wakeups;
 
-  // -- sharded hot path (PR 8; empty when config.nib_shards <= 1) --------------
-  /// Per-shard NIB event rings (NIB-resident, like nib_event_queue: they
-  /// survive DE crashes). Lock-free SPSC: NIB publishes, the shard's NIB
-  /// Event Handler drains.
-  std::vector<std::unique_ptr<SpscRing<NibEvent>>> shard_event_rings;
+  // -- OFC stage queues (volatile, one per NIB shard) ----------------------------
   /// Per-shard demuxed transport streams (OFC-volatile, like the transport
   /// queues they mirror): the Reply Router routes switch replies and health
   /// events to the owning shard's Monitoring Server instance. Link events
@@ -237,10 +219,10 @@ struct CoreContext {
   /// MPSC — single-threaded in the simulator, stress-tested concurrently
   /// in queue_test.
   std::vector<std::unique_ptr<MpscQueue<CommitJob>>> commit_queues;
-  /// Wakes the CommitPump (set by the controller in sharded mode).
+  /// Wakes the CommitPump (set by the controller).
   std::function<void()> kick_commit_pump;
-  /// Recycled OpBatch id buffers (all modes; steady state allocates zero
-  /// vectors per batch).
+  /// Recycled OpBatch id buffers (steady state allocates zero vectors per
+  /// batch).
   OpBatchArena batch_arena;
 
   // -- OFC-internal (volatile) --------------------------------------------------
@@ -294,7 +276,7 @@ struct CoreContext {
     return dag.value() % config.num_sequencers;
   }
   /// NIB shard that owns a switch (the same stable mix as shard_of, modulo
-  /// nib_shards). Always 0 in unsharded mode.
+  /// nib_shards). Always 0 with one shard.
   std::size_t nib_shard_of(SwitchId sw) const {
     return Nib::shard_slot(sw, config.nib_shards);
   }

@@ -1,5 +1,7 @@
 #include "core/controller.h"
 
+#include <cassert>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -34,6 +36,7 @@ void ZenithController::construct(Simulator* sim, CoreConfig config) {
   ctx_.nib = &nib_;
   ctx_.config = config;
   ctx_.op_ids = &op_ids_;
+  assert(config.nib_shards >= 1 && "CoreConfig::nib_shards must be >= 1");
 
   for (std::size_t i = 0; i < config.num_workers; ++i) {
     ctx_.op_queues.push_back(std::make_unique<NadirFifo<OpBatch>>());
@@ -42,50 +45,38 @@ void ZenithController::construct(Simulator* sim, CoreConfig config) {
     ctx_.sequencer_wakeups.push_back(std::make_unique<NadirFifo<NibEvent>>());
   }
 
-  if (config.sharded()) {
-    // Sharded wiring (PR 8): the NIB partitions its OP rows and secondary
-    // indexes by switch shard and publishes each shard's events onto a
-    // dedicated SPSC ring instead of the single nib_event_queue.
-    nib_.configure_sharding(config.nib_shards);
-    for (std::size_t s = 0; s < config.nib_shards; ++s) {
-      ctx_.shard_event_rings.push_back(std::make_unique<SpscRing<NibEvent>>());
-      ctx_.shard_replies.push_back(std::make_unique<NadirFifo<SwitchReply>>());
-      ctx_.shard_health.push_back(
-          std::make_unique<NadirFifo<SwitchHealthEvent>>());
-      ctx_.shard_links.push_back(
-          std::make_unique<NadirFifo<LinkHealthEvent>>());
-      ctx_.commit_queues.push_back(std::make_unique<MpscQueue<CommitJob>>());
-    }
-  } else {
-    nib_.subscribe(&ctx_.nib_event_queue);
+  // The stage pipeline (DESIGN.md §3b): the NIB partitions its OP rows and
+  // status index by switch shard and publishes each shard's events onto a
+  // dedicated SPSC ring; each shard has its own NIB Event Handler, reply
+  // queues, Monitoring Server and ACK-commit queue.
+  nib_.configure_sharding(config.nib_shards);
+  for (std::size_t s = 0; s < config.nib_shards; ++s) {
+    ctx_.shard_event_rings.push_back(std::make_unique<SpscRing<NibEvent>>());
+    ctx_.shard_replies.push_back(std::make_unique<NadirFifo<SwitchReply>>());
+    ctx_.shard_health.push_back(
+        std::make_unique<NadirFifo<SwitchHealthEvent>>());
+    ctx_.shard_links.push_back(std::make_unique<NadirFifo<LinkHealthEvent>>());
+    ctx_.commit_queues.push_back(std::make_unique<MpscQueue<CommitJob>>());
   }
 
   dag_scheduler_ = std::make_unique<DagScheduler>(&ctx_);
   for (std::size_t i = 0; i < config.num_sequencers; ++i) {
     sequencers_.push_back(std::make_unique<Sequencer>(&ctx_, i));
   }
-  if (config.sharded()) {
-    for (std::size_t s = 0; s < config.nib_shards; ++s) {
-      auto handler = std::make_unique<NibEventHandler>(&ctx_, s);
-      NibEventHandler* h = handler.get();
-      nib_.set_shard_ring(s, ctx_.shard_event_rings[s].get(),
-                          [h] { h->kick(); });
-      nib_event_handlers_.push_back(std::move(handler));
-    }
-  } else {
-    nib_event_handler_ = std::make_unique<NibEventHandler>(&ctx_);
+  for (std::size_t s = 0; s < config.nib_shards; ++s) {
+    auto handler = std::make_unique<NibEventHandler>(&ctx_, s);
+    NibEventHandler* h = handler.get();
+    nib_.set_shard_ring(s, ctx_.shard_event_rings[s].get(),
+                        [h] { h->kick(); });
+    nib_event_handlers_.push_back(std::move(handler));
   }
   worker_pool_ = std::make_unique<WorkerPool>(&ctx_);
-  if (config.sharded()) {
-    reply_router_ = std::make_unique<ReplyRouter>(&ctx_);
-    for (std::size_t s = 0; s < config.nib_shards; ++s) {
-      monitors_.push_back(std::make_unique<MonitoringServer>(&ctx_, s));
-    }
-    commit_pump_ = std::make_unique<CommitPump>(&ctx_);
-    ctx_.kick_commit_pump = [this] { commit_pump_->kick(); };
-  } else {
-    monitoring_ = std::make_unique<MonitoringServer>(&ctx_);
+  reply_router_ = std::make_unique<ReplyRouter>(&ctx_);
+  for (std::size_t s = 0; s < config.nib_shards; ++s) {
+    monitors_.push_back(std::make_unique<MonitoringServer>(&ctx_, s));
   }
+  commit_pump_ = std::make_unique<CommitPump>(&ctx_);
+  ctx_.kick_commit_pump = [this] { commit_pump_->kick(); };
   topo_handler_ = std::make_unique<TopoEventHandler>(&ctx_);
   failover_ = std::make_unique<FailoverManager>(&ctx_);
   // Adaptive consistency (PR 10): the NIB learns the classification knob
@@ -192,12 +183,8 @@ void ZenithController::delete_dag(DagId id) {
 }
 
 void ZenithController::register_app_sink(NadirFifo<NibEvent>* sink) {
-  // Sharded mode: every handler forwards the app-relevant events of its own
-  // shard, so registering with all of them reproduces the classic stream
-  // (each event is routed to exactly one shard, so no duplicates).
-  if (nib_event_handler_ != nullptr) {
-    nib_event_handler_->register_app_sink(sink);
-  }
+  // Every handler forwards the app-relevant events of its own shard; each
+  // event is routed to exactly one shard, so the sink sees no duplicates.
   for (auto& h : nib_event_handlers_) h->register_app_sink(sink);
 }
 
@@ -205,19 +192,37 @@ std::vector<Component*> ZenithController::components() {
   std::vector<Component*> out;
   out.push_back(dag_scheduler_.get());
   for (auto& s : sequencers_) out.push_back(s.get());
-  if (nib_event_handler_ != nullptr) out.push_back(nib_event_handler_.get());
   for (auto& h : nib_event_handlers_) out.push_back(h.get());
   for (Component* w : worker_pool_->components()) out.push_back(w);
-  if (monitoring_ != nullptr) {
-    out.push_back(monitoring_.get());
-  } else {
-    out.push_back(reply_router_.get());
-    for (auto& m : monitors_) out.push_back(m.get());
-    out.push_back(commit_pump_.get());
-  }
+  out.push_back(reply_router_.get());
+  for (auto& m : monitors_) out.push_back(m.get());
+  out.push_back(commit_pump_.get());
   out.push_back(topo_handler_.get());
   out.push_back(failover_.get());
   if (eventual_pump_ != nullptr) out.push_back(eventual_pump_.get());
+  return out;
+}
+
+std::vector<std::string> ZenithController::component_names(
+    const CoreConfig& config) {
+  std::vector<std::string> out{"dag_scheduler"};
+  for (std::size_t i = 0; i < config.num_sequencers; ++i) {
+    out.push_back("sequencer" + std::to_string(i));
+  }
+  for (std::size_t s = 0; s < config.nib_shards; ++s) {
+    out.push_back("nib_event_handler" + std::to_string(s));
+  }
+  for (std::size_t i = 0; i < config.num_workers; ++i) {
+    out.push_back("worker" + std::to_string(i));
+  }
+  out.push_back("reply_router");
+  for (std::size_t s = 0; s < config.nib_shards; ++s) {
+    out.push_back("monitoring" + std::to_string(s));
+  }
+  out.push_back("commit_pump");
+  out.push_back("topo_handler");
+  out.push_back("failover_manager");
+  if (config.consistency.any_eventual()) out.push_back("eventual_pump");
   return out;
 }
 
@@ -230,7 +235,11 @@ Component* ZenithController::component(const std::string& name) {
 
 void ZenithController::crash_component(const std::string& name) {
   Component* c = component(name);
-  if (c != nullptr) c->crash();
+  if (c == nullptr) {
+    throw std::invalid_argument("crash_component: no component named '" +
+                                name + "'");
+  }
+  c->crash();
 }
 
 void ZenithController::crash_ofc() {
@@ -258,8 +267,8 @@ void ZenithController::crash_ofc() {
   // The demuxed per-shard queues and the ACK-commit jobs are just as
   // volatile as the instance's sockets — an ACK parked in either belongs to
   // the dead instance, and the takeover requeue regenerates that work. The
-  // per-shard NIB-event rings are NOT cleared: they mirror nib_event_queue,
-  // which is NIB-resident state and survives instance failures.
+  // per-shard NIB-event rings are NOT cleared: they are NIB-resident state
+  // and survive instance failures.
   for (auto& q : ctx_.shard_replies) q->clear();
   for (auto& q : ctx_.shard_health) q->clear();
   for (auto& q : ctx_.shard_links) q->clear();
@@ -271,16 +280,19 @@ void ZenithController::crash_ofc() {
 
 std::vector<Component*> ZenithController::ofc_components() {
   std::vector<Component*> ofc = worker_pool_->components();
-  if (monitoring_ != nullptr) {
-    ofc.push_back(monitoring_.get());
-  } else {
-    ofc.push_back(reply_router_.get());
-    for (auto& m : monitors_) ofc.push_back(m.get());
-    ofc.push_back(commit_pump_.get());
-  }
+  ofc.push_back(reply_router_.get());
+  for (auto& m : monitors_) ofc.push_back(m.get());
+  ofc.push_back(commit_pump_.get());
   ofc.push_back(topo_handler_.get());
   ofc.push_back(failover_.get());
   return ofc;
+}
+
+std::vector<Component*> ZenithController::de_components() {
+  std::vector<Component*> de{dag_scheduler_.get()};
+  for (auto& s : sequencers_) de.push_back(s.get());
+  for (auto& h : nib_event_handlers_) de.push_back(h.get());
+  return de;
 }
 
 void ZenithController::ofc_takeover() {
@@ -361,18 +373,12 @@ void ZenithController::crash_de() {
   if (ctx_.observability != nullptr) {
     ctx_.observability->event("controller", "de-crash");
   }
-  std::vector<Component*> de;
-  de.push_back(dag_scheduler_.get());
-  for (auto& s : sequencers_) de.push_back(s.get());
-  if (nib_event_handler_ != nullptr) de.push_back(nib_event_handler_.get());
-  for (auto& h : nib_event_handlers_) de.push_back(h.get());
-  for (Component* c : de) {
+  for (Component* c : de_components()) {
     c->crash();
     c->set_held(true);
   }
-  // The per-shard NIB-event rings, like nib_event_queue itself, are
-  // NIB-resident and survive the DE instance — the revived handlers resume
-  // draining them.
+  // The per-shard NIB-event rings are NIB-resident and survive the DE
+  // instance — the revived handlers resume draining them.
   for (auto& wakeup : ctx_.sequencer_wakeups) wakeup->clear();
   ctx_.sim->schedule(ctx_.config.failover_takeover_delay,
                      [this] { de_takeover(); });
@@ -383,12 +389,7 @@ void ZenithController::de_takeover() {
   if (ctx_.observability != nullptr) {
     ctx_.observability->event("controller", "de-takeover");
   }
-  std::vector<Component*> de;
-  de.push_back(dag_scheduler_.get());
-  for (auto& s : sequencers_) de.push_back(s.get());
-  if (nib_event_handler_ != nullptr) de.push_back(nib_event_handler_.get());
-  for (auto& h : nib_event_handlers_) de.push_back(h.get());
-  for (Component* c : de) {
+  for (Component* c : de_components()) {
     c->set_held(false);
     c->restart();
   }

@@ -31,9 +31,8 @@ namespace zenith {
 
 class ZenithController {
  public:
-  /// Classic wiring: controller and data plane share one simulator; the
-  /// controller owns a SimBusTransport shim over `fabric`. Byte-identical to
-  /// the pre-transport-seam pipeline.
+  /// Simulator bus: controller and data plane share one simulator; the
+  /// controller owns a SimBusTransport shim over `fabric`.
   ZenithController(Simulator* sim, Fabric* fabric, CoreConfig config = {});
   /// Transport wiring: messages cross `transport` (e.g. a SocketTransport in
   /// zenith_controllerd); there is no local Fabric. `sim` still drives the
@@ -66,9 +65,16 @@ class ZenithController {
 
   // ---- failure injection -------------------------------------------------------
 
+  /// Every component the Watchdog watches, in wiring order (DESIGN.md §3b).
   std::vector<Component*> components();
+  /// The names of components() for a controller built with `config`, in
+  /// the same order — the crash-target roster, computable before any
+  /// controller exists (chaos schedules are a function of the config).
+  static std::vector<std::string> component_names(const CoreConfig& config);
   Component* component(const std::string& name);
   /// Partial CP failure: kill one component; the Watchdog revives it.
+  /// Throws std::invalid_argument when no component has that name, so a
+  /// fault aimed at a component the wiring lacks cannot pass silently.
   void crash_component(const std::string& name);
 
   /// Complete OFC microservice failure: all OFC components die, their
@@ -92,11 +98,13 @@ class ZenithController {
  private:
   void construct(Simulator* sim, CoreConfig config);
   /// The components that die together in a complete OFC microservice
-  /// failure: the worker pool plus the ACK/health path (the single
-  /// Monitoring Server, or — sharded — the Reply Router, the per-shard
-  /// monitoring instances and the Commit Pump), the Topo Event Handler and
-  /// the failover manager.
+  /// failure: the worker pool plus the ACK/health path (the Reply Router,
+  /// the per-shard monitoring instances and the Commit Pump), the Topo
+  /// Event Handler and the failover manager.
   std::vector<Component*> ofc_components();
+  /// The components of the DE microservice: the DAG Scheduler, the
+  /// sequencers and the per-shard NIB Event Handlers.
+  std::vector<Component*> de_components();
   void ofc_takeover();
   void de_takeover();
   /// Re-enqueues every SENT OP accepted by `owned` (null = all) exactly
@@ -117,15 +125,8 @@ class ZenithController {
 
   std::unique_ptr<DagScheduler> dag_scheduler_;
   std::vector<std::unique_ptr<Sequencer>> sequencers_;
-  /// Exactly one of the two handler shapes is populated: the single
-  /// instance when nib_shards <= 1 (classic wiring, byte-identical to the
-  /// pre-sharding pipeline) or one instance per NIB shard otherwise.
-  std::unique_ptr<NibEventHandler> nib_event_handler_;
   std::vector<std::unique_ptr<NibEventHandler>> nib_event_handlers_;
   std::unique_ptr<WorkerPool> worker_pool_;
-  /// Same duality for the ACK path: the single Monitoring Server, or the
-  /// Reply Router + per-shard monitoring instances + Commit Pump pipeline.
-  std::unique_ptr<MonitoringServer> monitoring_;
   std::unique_ptr<ReplyRouter> reply_router_;
   std::vector<std::unique_ptr<MonitoringServer>> monitors_;
   std::unique_ptr<CommitPump> commit_pump_;

@@ -1,22 +1,14 @@
 #include "core/monitoring_server.h"
 
-#include "common/logging.h"
+#include <string>
+
 #include "obs/obs.h"
 
 namespace zenith {
 
-MonitoringServer::MonitoringServer(CoreContext* ctx)
-    : Component(ctx->sim, "monitoring", ctx->config.monitoring_service),
-      ctx_(ctx) {
-  ctx_->transport->replies().set_wake_callback([this] { kick(); });
-  ctx_->transport->health_events().set_wake_callback([this] { kick(); });
-  ctx_->transport->link_events().set_wake_callback([this] { kick(); });
-}
-
 MonitoringServer::MonitoringServer(CoreContext* ctx, std::size_t shard)
-    // Validation/forward half only: the NIB commit this step performed in
-    // the classic shape is charged by the CommitPump per batched
-    // transaction (see CoreConfig::monitoring_forward_service).
+    // Validation/forward half only: the NIB commit is charged by the
+    // CommitPump per batched transaction (CoreConfig::monitoring_service).
     : Component(ctx->sim, "monitoring" + std::to_string(shard),
                 ctx->config.monitoring_forward_service),
       ctx_(ctx),
@@ -28,21 +20,6 @@ MonitoringServer::MonitoringServer(CoreContext* ctx, std::size_t shard)
   ctx_->shard_links[shard]->set_wake_callback([this] { kick(); });
 }
 
-NadirFifo<SwitchReply>& MonitoringServer::reply_queue() {
-  return shard_ == kUnsharded ? ctx_->transport->replies()
-                              : *ctx_->shard_replies[shard_];
-}
-
-NadirFifo<SwitchHealthEvent>& MonitoringServer::health_queue() {
-  return shard_ == kUnsharded ? ctx_->transport->health_events()
-                              : *ctx_->shard_health[shard_];
-}
-
-NadirFifo<LinkHealthEvent>& MonitoringServer::link_queue() {
-  return shard_ == kUnsharded ? ctx_->transport->link_events()
-                              : *ctx_->shard_links[shard_];
-}
-
 bool MonitoringServer::try_step() {
   // Health events first: a failure notification should not queue behind a
   // burst of ACKs (the spec models them as separate processes).
@@ -50,7 +27,7 @@ bool MonitoringServer::try_step() {
   // Link/port transitions update the NIB's topology state directly (the
   // Topo Event Handler owns only switch-level health, whose transitions
   // gate OP scheduling).
-  NadirFifo<LinkHealthEvent>& links = link_queue();
+  NadirFifo<LinkHealthEvent>& links = *ctx_->shard_links[shard_];
   if (!links.empty()) {
     LinkHealthEvent event = links.peek();
     ctx_->nib->set_link_up(event.link, event.up);
@@ -61,7 +38,7 @@ bool MonitoringServer::try_step() {
 }
 
 bool MonitoringServer::process_health_event() {
-  NadirFifo<SwitchHealthEvent>& events = health_queue();
+  NadirFifo<SwitchHealthEvent>& events = *ctx_->shard_health[shard_];
   if (events.empty()) return false;
   SwitchHealthEvent event = events.peek();
   // Forward to the Topo Event Handler's queue; it owns all health-state
@@ -71,11 +48,58 @@ bool MonitoringServer::process_health_event() {
   return true;
 }
 
+void MonitoringServer::commit(SwitchId sw, std::vector<Op> ops) {
+  if (ops.empty()) return;
+  obs::Observability* o = ctx_->observability;
+  bool eventual = true;
+  for (const Op& op : ops) {
+    if (ctx_->config.consistency.classify(op.type) != OpClass::kEventual) {
+      eventual = false;
+      break;
+    }
+  }
+  if (eventual) {
+    // Eventual-class commit (PR 10): durably recorded now, visible when the
+    // apply cursor reaches it. Takes precedence over the replicated and the
+    // CommitPump routes — the eventual log is local and leader-independent,
+    // which is exactly the availability win: an install ACK commits even
+    // while the owning repl shard has no live leader (the strong path would
+    // drop it and wait for the takeover requeue). Mixed batches (any
+    // delete) stay on the strong routes below.
+    const std::size_t n = ops.size();
+    if (o != nullptr) {
+      for (const Op& op : ops) {
+        o->op_stage(op.id, name(), "op-ack-eventual",
+                    "sw=" + std::to_string(sw.value()));
+        o->op_closed(op.id, name(), "done-eventual");
+      }
+      o->count("eventual_commits");
+      o->batch_committed(sw, n);
+    }
+    ctx_->nib->eventual_commit_batch(sw, std::move(ops));
+    if (ctx_->repl != nullptr) ctx_->repl->note_eventual(sw, n);
+    return;
+  }
+  if (ctx_->repl != nullptr) {
+    // Replicated commit path: the ACK becomes one shard-log entry; the NIB
+    // transaction (and the op-closed span) happens when the shard leader
+    // applies the committed entry.
+    ctx_->repl->submit_ack(sw, ops);
+    if (o != nullptr) o->count("repl_log_submits");
+    return;
+  }
+  // The NIB transaction (and the op-closed observability) happens when the
+  // CommitPump applies the job.
+  ctx_->commit_queues[shard_]->push(CommitJob{sw, std::move(ops)});
+  ctx_->kick_commit_pump();
+}
+
 bool MonitoringServer::process_reply() {
-  NadirFifo<SwitchReply>& replies = reply_queue();
+  NadirFifo<SwitchReply>& replies = *ctx_->shard_replies[shard_];
   if (replies.empty()) return false;
   SwitchReply reply = replies.peek();
   Nib& nib = *ctx_->nib;
+  obs::Observability* o = ctx_->observability;
 
   switch (reply.type) {
     case SwitchReply::Type::kAck: {
@@ -84,90 +108,30 @@ bool MonitoringServer::process_reply() {
         // ACK for an OP this controller incarnation never registered (e.g.
         // state installed by a previous master). Reconciliation owns such
         // entries; recording a status for them would fabricate intent.
-        if (ctx_->observability != nullptr) {
-          ctx_->observability->count("orphan_acks");
-        }
+        if (o != nullptr) o->count("orphan_acks");
         break;
       }
-      if (op.type == OpType::kInstallRule &&
-          ctx_->config.consistency.classify(op.type) == OpClass::kEventual) {
-        // Eventual-class commit (PR 10): durably recorded now, visible when
-        // the apply cursor reaches it. Takes precedence over BOTH the
-        // replicated and the sharded commit routes — the eventual log is
-        // local and leader-independent, which is exactly the availability
-        // win: an install ACK commits even while the owning repl shard has
-        // no live leader (the strong path would drop it and wait for the
-        // takeover requeue).
-        nib.eventual_commit_batch(reply.sw, {op});
-        if (ctx_->repl != nullptr) ctx_->repl->note_eventual(reply.sw, 1);
-        if (ctx_->observability != nullptr) {
-          ctx_->observability->count("eventual_commits");
-          ctx_->observability->op_stage(
-              op.id, name(), "op-ack-eventual",
-              "sw=" + std::to_string(reply.sw.value()));
-          ctx_->observability->op_closed(op.id, name(), "done-eventual");
-          ctx_->observability->batch_committed(reply.sw, 1);
-        }
+      if (op.type == OpType::kInstallRule || op.type == OpType::kDeleteRule) {
+        commit(reply.sw, {op});
         break;
       }
-      if (ctx_->repl != nullptr && (op.type == OpType::kInstallRule ||
-                                    op.type == OpType::kDeleteRule)) {
-        // Replicated commit path: the ACK becomes a shard-log entry; the NIB
-        // transaction (and the op-closed span) happens when the shard leader
-        // applies the committed entry. ClearTcam/dump replies stay on the
-        // direct path — they drive the recovery state machine, not R_c.
-        ctx_->repl->submit_ack(reply.sw, {op});
-        if (ctx_->observability != nullptr) {
-          ctx_->observability->count("repl_log_submits");
-        }
-        break;
-      }
-      if (shard_ != kUnsharded && (op.type == OpType::kInstallRule ||
-                                   op.type == OpType::kDeleteRule)) {
-        // Sharded commit path: the NIB transaction (and the op-closed
-        // observability) happens when the CommitPump applies the job.
-        // ClearTcam/dump replies stay inline — they drive the recovery
-        // state machine and are rare.
-        ctx_->commit_queues[shard_]->push(CommitJob{reply.sw, {op}});
-        if (ctx_->kick_commit_pump) ctx_->kick_commit_pump();
-        break;
-      }
-      // Everything reaching the inline path in eventual mode is
-      // strong-class (installs routed to the eventual log above): deletes
-      // and CLEAR_TCAM order against installed state, so they must not
-      // observe a half-applied eventual prefix (E2).
+      if (op.type != OpType::kClearTcam) break;  // dumps arrive as kDumpReply
+      // CLEAR_TCAM commits inline: it drives the recovery state machine, is
+      // rare, and is strong-class — it must not observe a half-applied
+      // eventual prefix (E2).
       if (ctx_->config.consistency.any_eventual()) nib.strong_barrier();
-      bool committed = false;
-      switch (op.type) {
-        case OpType::kInstallRule:
-          // P3: always record the ACK.
-          nib.set_op_status(op.id, OpStatus::kDone);
-          nib.view_add_installed(reply.sw, op.id);
-          committed = true;
-          break;
-        case OpType::kDeleteRule:
-          nib.set_op_status(op.id, OpStatus::kDone);
-          nib.view_remove_installed(reply.sw, op.delete_target);
-          committed = true;
-          break;
-        case OpType::kClearTcam:
-          nib.set_op_status(op.id, OpStatus::kDone);
-          nib.view_clear_switch(reply.sw);
-          committed = true;
-          // The Topo Event Handler finalizes the recovery (reset OPs, mark
-          // UP) — Figure A.5 steps 6-8.
-          ctx_->cleanup_reply_queue.push(reply);
-          break;
-        case OpType::kDumpTable:
-          break;  // dumps arrive as kDumpReply, not kAck
-      }
-      if (committed && ctx_->observability != nullptr) {
+      nib.set_op_status(op.id, OpStatus::kDone);
+      nib.view_clear_switch(reply.sw);
+      // The Topo Event Handler finalizes the recovery (reset OPs, mark UP)
+      // — Figure A.5 steps 6-8.
+      ctx_->cleanup_reply_queue.push(reply);
+      if (o != nullptr) {
         // ACK observed and NIB commit recorded: this closes the OP's causal
         // lifecycle span opened at scheduling time.
-        ctx_->observability->op_stage(
-            op.id, name(), "op-ack", "sw=" + std::to_string(reply.sw.value()));
-        ctx_->observability->op_closed(op.id, name(), "done");
-        ctx_->observability->batch_committed(reply.sw, 1);
+        o->op_stage(op.id, name(), "op-ack",
+                    "sw=" + std::to_string(reply.sw.value()));
+        o->op_closed(op.id, name(), "done");
+        o->batch_committed(reply.sw, 1);
       }
       break;
     }
@@ -181,74 +145,13 @@ bool MonitoringServer::process_reply() {
       for (const Op& op : reply.batch) {
         if (nib.has_op(op.id)) {
           known.push_back(op);
-        } else if (ctx_->observability != nullptr) {
+        } else if (o != nullptr) {
           // Same orphan rule as kAck: reconciliation owns entries a previous
           // master installed.
-          ctx_->observability->count("orphan_acks");
+          o->count("orphan_acks");
         }
       }
-      bool all_install = !known.empty();
-      for (const Op& op : known) {
-        if (ctx_->config.consistency.classify(op.type) != OpClass::kEventual) {
-          all_install = false;
-          break;
-        }
-      }
-      if (all_install) {
-        // Eventual-class batch (PR 10): same precedence rule as the
-        // singleton kAck — install-only batches commit to the local
-        // eventual log, bypassing the quorum log and the commit queues.
-        // Mixed batches (any delete) stay on the strong routes below.
-        const std::size_t n = known.size();
-        if (ctx_->observability != nullptr) {
-          for (const Op& op : known) {
-            ctx_->observability->op_stage(
-                op.id, name(), "op-ack-eventual",
-                "sw=" + std::to_string(reply.sw.value()));
-            ctx_->observability->op_closed(op.id, name(), "done-eventual");
-          }
-          ctx_->observability->count("eventual_commits");
-          ctx_->observability->batch_committed(reply.sw, n);
-        }
-        nib.eventual_commit_batch(reply.sw, std::move(known));
-        if (ctx_->repl != nullptr) ctx_->repl->note_eventual(reply.sw, n);
-        break;
-      }
-      if (ctx_->repl != nullptr) {
-        // Same routing as the singleton kAck: the whole batch becomes one
-        // log entry, committed as one NIB transaction at log-apply time.
-        if (!known.empty()) ctx_->repl->submit_ack(reply.sw, known);
-        if (ctx_->observability != nullptr) {
-          ctx_->observability->count("repl_log_submits");
-        }
-        break;
-      }
-      if (shard_ != kUnsharded) {
-        if (!known.empty()) {
-          ctx_->commit_queues[shard_]->push(CommitJob{reply.sw, std::move(known)});
-          if (ctx_->kick_commit_pump) ctx_->kick_commit_pump();
-        }
-        break;
-      }
-      // Mixed (delete-bearing) batches are strong-class: drain any pending
-      // eventual installs before the transaction (E2).
-      if (ctx_->config.consistency.any_eventual()) nib.strong_barrier();
-      nib.commit_ack_batch(reply.sw, known);
-      if (ctx_->observability != nullptr) {
-        for (const Op& op : known) {
-          ctx_->observability->op_stage(
-              op.id, name(), "op-ack",
-              "sw=" + std::to_string(reply.sw.value()));
-          ctx_->observability->op_closed(op.id, name(), "done");
-        }
-        // Report what was COMMITTED, not the wire size: orphan entries were
-        // filtered out above (counted as orphan_acks), and an all-orphan
-        // batch commits nothing — matching the kAck path, which reports
-        // batch_committed(sw, 1) only when the single OP actually commits.
-        if (!known.empty()) {
-          ctx_->observability->batch_committed(reply.sw, known.size());
-        }
-      }
+      commit(reply.sw, std::move(known));
       break;
     }
     case SwitchReply::Type::kDumpReply:
@@ -270,15 +173,14 @@ bool MonitoringServer::process_reply() {
 
 void MonitoringServer::on_restart() {
   // Keepalive re-establishment: after an OFC outage the monitoring server
-  // re-learns every switch's liveness and synthesizes the events the dead
-  // instance missed. Without this, a failure event lost with the old
-  // instance would leave the NIB permanently stale.
+  // re-learns the liveness of the switches its shard owns and synthesizes
+  // the events the dead instance missed. Without this, a failure event lost
+  // with the old instance would leave the NIB permanently stale. The
+  // instances of the other shards cover their switches, so the union is one
+  // resync per switch without duplicate synthesized events.
   Nib& nib = *ctx_->nib;
   for (SwitchId sw : nib.switches()) {
-    // Sharded instances re-sync only the switches they own — the peers
-    // cover theirs, so the union is exactly the classic single-instance
-    // resync without duplicate synthesized events.
-    if (shard_ != kUnsharded && ctx_->nib_shard_of(sw) != shard_) continue;
+    if (ctx_->nib_shard_of(sw) != shard_) continue;
     bool actually_up = ctx_->transport->switch_alive(sw);
     SwitchHealth recorded = nib.switch_health(sw);
     if (!actually_up && recorded != SwitchHealth::kDown) {

@@ -1,6 +1,5 @@
 #include "core/nib_event_handler.h"
 
-#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -23,12 +22,6 @@ const char* nib_event_name(NibEvent::Type type) {
 
 }  // namespace
 
-NibEventHandler::NibEventHandler(CoreContext* ctx)
-    : Component(ctx->sim, "nib_event_handler", ctx->config.nib_event_service),
-      ctx_(ctx) {
-  ctx_->nib_event_queue.set_wake_callback([this] { kick(); });
-}
-
 NibEventHandler::NibEventHandler(CoreContext* ctx, std::size_t shard)
     : Component(ctx->sim, "nib_event_handler" + std::to_string(shard),
                 ctx->config.nib_event_service),
@@ -40,50 +33,25 @@ void NibEventHandler::register_app_sink(NadirFifo<NibEvent>* sink) {
 }
 
 bool NibEventHandler::try_step() {
-  if (shard_ != kUnsharded) {
-    SpscRing<NibEvent>& ring = *ctx_->shard_event_rings[shard_];
-    const std::size_t budget =
-        std::max<std::size_t>(1, ctx_->config.nib_event_batch);
-    bool did_work = false;
-    for (std::size_t i = 0; i < budget; ++i) {
-      std::optional<NibEvent> event = ring.try_pop();
-      if (!event.has_value()) break;
-      did_work = true;
-      if (ctx_->observability != nullptr) {
-        ctx_->observability->count("nib_events_routed",
-                                   {{"type", nib_event_name(event->type)}});
-      }
-      route_sharded(*event);
+  SpscRing<NibEvent>& ring = *ctx_->shard_event_rings[shard_];
+  bool did_work = false;
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    std::optional<NibEvent> event = ring.try_pop();
+    if (!event.has_value()) break;
+    did_work = true;
+    if (ctx_->observability != nullptr) {
+      ctx_->observability->count("nib_events_routed",
+                                 {{"type", nib_event_name(event->type)}});
     }
-    return did_work;
+    route(*event);
   }
-
-  NadirFifo<NibEvent>& queue = ctx_->nib_event_queue;
-  if (queue.empty()) return false;
-  NibEvent event = queue.peek();
-  if (ctx_->observability != nullptr) {
-    ctx_->observability->count("nib_events_routed",
-                               {{"type", nib_event_name(event.type)}});
-  }
-
-  // Sequencers: everything is a potential scheduling trigger.
-  for (auto& wakeup : ctx_->sequencer_wakeups) wakeup->push(event);
-
-  // Applications: health + DAG lifecycle (OP-level chatter stays internal).
-  bool app_relevant = event.type == NibEvent::Type::kSwitchHealthChanged ||
-                      event.type == NibEvent::Type::kDagDone ||
-                      event.type == NibEvent::Type::kTopologyChanged;
-  if (app_relevant) {
-    for (NadirFifo<NibEvent>* sink : app_sinks_) sink->push(event);
-  }
-  queue.ack_pop();
-  return true;
+  return did_work;
 }
 
-void NibEventHandler::route_sharded(const NibEvent& event) {
-  // Applications: the same relevance rules as the classic path. Each event
-  // is drained from exactly one ring, so sinks registered with every
-  // instance still see each event once.
+void NibEventHandler::route(const NibEvent& event) {
+  // Applications: health + DAG lifecycle (OP-level chatter stays internal).
+  // Each event is drained from exactly one ring, so sinks registered with
+  // every instance still see each event once.
   bool app_relevant = event.type == NibEvent::Type::kSwitchHealthChanged ||
                       event.type == NibEvent::Type::kDagDone ||
                       event.type == NibEvent::Type::kTopologyChanged;

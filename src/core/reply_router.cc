@@ -1,7 +1,5 @@
 #include "core/reply_router.h"
 
-#include <algorithm>
-
 namespace zenith {
 
 ReplyRouter::ReplyRouter(CoreContext* ctx)
@@ -13,12 +11,10 @@ ReplyRouter::ReplyRouter(CoreContext* ctx)
 }
 
 bool ReplyRouter::try_step() {
-  const std::size_t budget =
-      std::max<std::size_t>(1, ctx_->config.reply_route_batch);
   bool did_work = false;
-  for (std::size_t i = 0; i < budget; ++i) {
-    // Same priority order as the classic Monitoring Server: health first,
-    // then links, then replies.
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    // Same priority order as a Monitoring Server step: health first, then
+    // links, then replies.
     NadirFifo<SwitchHealthEvent>& health = ctx_->transport->health_events();
     if (!health.empty()) {
       SwitchHealthEvent event = health.peek();

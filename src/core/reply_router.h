@@ -1,11 +1,10 @@
-// The Reply Router (PR 8, sharded mode only): demuxes the transport's three
-// inbound streams onto the per-shard Monitoring Server queues.
+// The Reply Router: demuxes the transport's three inbound streams onto the
+// per-shard Monitoring Server queues.
 //
-// In the unsharded wiring the single Monitoring Server consumes the
-// transport streams directly. With N monitoring instances something must
-// terminate the (single) southbound channel and fan messages out by switch
-// ownership; this component is that stage — a pure hash-and-push demux with
-// a deliberately tiny service time (no NIB access, no decoding). Replies
+// With one monitoring instance per NIB shard something must terminate the
+// (single) southbound channel and fan messages out by switch ownership;
+// this component is that stage — a pure hash-and-push demux with a
+// deliberately tiny service time (no NIB access, no decoding). Replies
 // and health events route to shard_of(sw); link events are not switch-keyed
 // and all route to shard 0.
 //
@@ -14,6 +13,8 @@
 // from the same queues (level-triggered, like every other component).
 #pragma once
 
+#include <cstddef>
+
 #include "core/component.h"
 #include "core/context.h"
 
@@ -21,6 +22,9 @@ namespace zenith {
 
 class ReplyRouter : public Component {
  public:
+  /// Transport messages demuxed per service step.
+  static constexpr std::size_t kBatch = 16;
+
   explicit ReplyRouter(CoreContext* ctx);
 
  protected:

@@ -74,35 +74,13 @@ bool SoakWorkload::pick_groups() {
     auto sw = SwitchId(static_cast<std::uint32_t>(i));
     if (!path_switches.count(sw)) off_path_switches_.push_back(sw);
   }
-  // Single-component crash targets (the Watchdog restarts each); whole-
-  // microservice failovers are the chaos campaigns' job, not the soak's.
-  const CoreConfig& core = experiment_->config().core;
-  crashable_components_.push_back("dag_scheduler");
-  for (std::size_t i = 0; i < core.num_sequencers; ++i) {
-    crashable_components_.push_back("sequencer" + std::to_string(i));
+  // Single-component crash targets (the Watchdog restarts each): the
+  // pipeline stages of the wiring. Whole-microservice failovers (and with
+  // them the failover manager) are the chaos campaigns' job, not the soak's.
+  for (const std::string& name :
+       ZenithController::component_names(experiment_->config().core)) {
+    if (name != "failover_manager") crashable_components_.push_back(name);
   }
-  if (core.sharded()) {
-    for (std::size_t s = 0; s < core.nib_shards; ++s) {
-      crashable_components_.push_back("nib_event_handler" + std::to_string(s));
-    }
-  } else {
-    crashable_components_.push_back("nib_event_handler");
-  }
-  for (std::size_t i = 0; i < core.num_workers; ++i) {
-    crashable_components_.push_back("worker" + std::to_string(i));
-  }
-  if (core.sharded()) {
-    // The sharded ACK path: router, per-shard monitoring, and the pump all
-    // take the same single-component crashes the classic monitoring did.
-    crashable_components_.push_back("reply_router");
-    for (std::size_t s = 0; s < core.nib_shards; ++s) {
-      crashable_components_.push_back("monitoring" + std::to_string(s));
-    }
-    crashable_components_.push_back("commit_pump");
-  } else {
-    crashable_components_.push_back("monitoring");
-  }
-  crashable_components_.push_back("topo_handler");
   return true;
 }
 

@@ -65,9 +65,10 @@ Dag Workload::build_replacement(
     }
   }
   // Priorities must exceed everything currently believed installed, across
-  // all flows (Listing 6's HighestPriorityInOPSet over previous OPs).
-  std::vector<Op> all_ops = all_flow_ops();
-  int priority = highest_priority(all_ops) + 1;
+  // all flows (Listing 6's HighestPriorityInOPSet over previous OPs). Every
+  // flow OP is assigned here at max + 1 and flows are never erased, so the
+  // running maximum equals a scan of all_flow_ops().
+  const int priority = max_priority_ + 1;
 
   Dag dag(next_dag_id());
   OpIdAllocator& ids = *ids_;
@@ -89,6 +90,7 @@ Dag Workload::build_replacement(
     state.path = new_paths[i];
     state.ops = compiled.ops;
   }
+  if (!new_paths.empty()) max_priority_ = priority;
   std::vector<Op> deletions = deletion_ops(previous_ops, ids);
   if (!deletions.empty()) {
     auto st = dag.expand_with(deletions);

@@ -83,6 +83,8 @@ class Workload {
   OpIdAllocator* ids_;
   Rng rng_;
   std::unordered_map<FlowId, FlowState> flows_;
+  /// Highest install priority among the flows' current OPs.
+  int max_priority_ = 0;
   std::uint32_t next_flow_id_ = 1;
   std::uint32_t next_dag_id_ = 1;
 };

@@ -1,10 +1,10 @@
 // zenith_lockstep: the conformance gate's command-line face.
 //
 // Runs the lockstep checker over the scenario grid — {kdl, b4, fat-tree} x
-// batch_size {1, 4, 16} x two fault schedules — and exits non-zero on the
-// first divergence, printing the divergence messages and the shrunk
-// reproducer trace. `--quick` trims the grid to one seed and batch sizes
-// {1, 16} for the CI stage.
+// batch_size {1, 4, 16} x nib_shards {1, 4} x two fault schedules — and
+// exits non-zero on the first divergence, printing the divergence messages
+// and the shrunk reproducer trace. `--quick` trims the grid to one seed and
+// batch sizes {1, 16} for the CI stage.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -24,6 +24,7 @@ struct Cell {
   TopologyKind topology;
   std::size_t topology_size;
   std::size_t batch_size;
+  std::size_t nib_shards;
   std::uint64_t seed;
   bool crash_heavy;  // component/OFC-crash-weighted fault schedule
 };
@@ -34,6 +35,7 @@ LockstepConfig cell_config(const Cell& cell) {
   config.campaign.topology = cell.topology;
   config.campaign.topology_size = cell.topology_size;
   config.campaign.core.batch_size = cell.batch_size;
+  config.campaign.core.nib_shards = cell.nib_shards;
   config.campaign.schedule.horizon = zenith::seconds(3);
   config.campaign.schedule.fault_count = 8;
   config.campaign.initial_flows = 4;
@@ -81,42 +83,47 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> seeds =
       quick ? std::vector<std::uint64_t>{1} : std::vector<std::uint64_t>{1, 2};
 
-  int divergences = 0;
-  int cells = 0;
+  std::vector<Cell> grid;
   for (const Topo& topo : topologies) {
     for (std::size_t batch_size : batch_sizes) {
-      for (std::uint64_t seed : seeds) {
-        for (bool crash_heavy : {false, true}) {
-          Cell cell{topo.kind, topo.size, batch_size, seed, crash_heavy};
-          LockstepChecker checker(cell_config(cell));
-          LockstepReport report = checker.run();
-          ++cells;
-          std::size_t injected = 0;
-          for (const auto& phase : report.phases) {
-            injected += phase.events_injected;
-          }
-          std::printf("[%s bs=%zu seed=%llu %s] %s faults=%zu digest=%016llx\n",
-                      zenith::chaos::to_string(topo.kind), batch_size,
-                      static_cast<unsigned long long>(seed),
-                      schedule_name(crash_heavy), report.summary().c_str(),
-                      injected,
-                      static_cast<unsigned long long>(report.report_digest()));
-          if (!report.diverged) continue;
-          ++divergences;
-          for (const std::string& d : report.divergences) {
-            std::printf("  divergence: %s\n", d.c_str());
-          }
-          LockstepChecker::DivergenceShrink shrunk =
-              checker.shrink(checker.schedule());
-          std::printf("  shrunk to %zu events (%zu oracle runs)\n%s\n",
-                      shrunk.minimal.size(), shrunk.oracle_runs,
-                      shrunk.trace.to_string().c_str());
-          if (!shrunk.minimal_report.flight_recorder_dump.empty()) {
-            std::printf("--- flight recorder ---\n%s\n",
-                        shrunk.minimal_report.flight_recorder_dump.c_str());
+      for (std::size_t nib_shards : {1, 4}) {
+        for (std::uint64_t seed : seeds) {
+          for (bool crash_heavy : {false, true}) {
+            grid.push_back({topo.kind, topo.size, batch_size, nib_shards,
+                            seed, crash_heavy});
           }
         }
       }
+    }
+  }
+
+  int divergences = 0;
+  int cells = 0;
+  for (const Cell& cell : grid) {
+    LockstepChecker checker(cell_config(cell));
+    LockstepReport report = checker.run();
+    ++cells;
+    std::size_t injected = 0;
+    for (const auto& phase : report.phases) injected += phase.events_injected;
+    std::printf(
+        "[%s bs=%zu shards=%zu seed=%llu %s] %s faults=%zu digest=%016llx\n",
+        zenith::chaos::to_string(cell.topology), cell.batch_size,
+        cell.nib_shards, static_cast<unsigned long long>(cell.seed),
+        schedule_name(cell.crash_heavy), report.summary().c_str(), injected,
+        static_cast<unsigned long long>(report.report_digest()));
+    if (!report.diverged) continue;
+    ++divergences;
+    for (const std::string& d : report.divergences) {
+      std::printf("  divergence: %s\n", d.c_str());
+    }
+    LockstepChecker::DivergenceShrink shrunk =
+        checker.shrink(checker.schedule());
+    std::printf("  shrunk to %zu events (%zu oracle runs)\n%s\n",
+                shrunk.minimal.size(), shrunk.oracle_runs,
+                shrunk.trace.to_string().c_str());
+    if (!shrunk.minimal_report.flight_recorder_dump.empty()) {
+      std::printf("--- flight recorder ---\n%s\n",
+                  shrunk.minimal_report.flight_recorder_dump.c_str());
     }
   }
 

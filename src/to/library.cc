@@ -44,7 +44,15 @@ Trace from_counterexample(const mc::CheckResult& result,
                                                num_workers));
         break;
       case K::kMonitoring:
-        append_allow(trace, "monitoring");
+        // The model's ProcessACK is three stages of the wiring: route the
+        // reply to its shard, validate it, commit it (one NIB shard: the
+        // model has no sharding).
+        append_allow(trace, "reply_router");
+        append_allow(trace, "monitoring0");
+        append_allow(trace, "commit_pump");
+        break;
+      case K::kEventualApply:
+        append_allow(trace, "eventual_pump");
         break;
       case K::kTopoEvent:
       case K::kCleanupAck:

@@ -5,6 +5,9 @@
 // regression traces staying green on a clean build.
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,11 +20,12 @@ namespace zenith::chaos {
 namespace {
 
 CampaignConfig sweep_config(TopologyKind topology, std::size_t size,
-                            std::uint64_t seed) {
+                            std::uint64_t seed, std::size_t nib_shards = 1) {
   CampaignConfig config;
   config.topology = topology;
   config.topology_size = size;
   config.seed = seed;
+  config.core.nib_shards = nib_shards;
   config.schedule.horizon = seconds(4);
   config.schedule.fault_count = 10;
   config.initial_flows = 4;
@@ -85,17 +89,44 @@ TEST(ChaosSchedule, EventsSortedAndRecoveriesPaired) {
   }
 }
 
+// Component-crash faults are drawn from the wiring's own roster: every
+// name must resolve to a live component at every shard count, and the
+// roster must be exactly the components the Watchdog watches.
+TEST(ChaosSchedule, RosterNamesResolveAtEveryShardCount) {
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (bool eventual : {false, true}) {
+      CampaignConfig config = sweep_config(TopologyKind::kB4, 0, 1, shards);
+      config.core.consistency.eventual_installs = eventual;
+      ExperimentConfig exp_config;
+      exp_config.core = config.core;
+      Experiment exp(make_topology(config), exp_config);
+      std::vector<std::string> live;
+      for (Component* c : exp.controller().components()) {
+        live.push_back(c->name());
+      }
+      const std::vector<std::string> roster = component_roster(config.core);
+      for (const std::string& name : roster) {
+        EXPECT_NE(exp.controller().component(name), nullptr)
+            << name << " missing at nib_shards=" << shards;
+      }
+      EXPECT_EQ(roster, live) << "nib_shards=" << shards;
+    }
+  }
+}
+
 TEST(ChaosCampaign, SweepFiftyCampaignsAcrossTopologiesDeterministically) {
   struct Entry {
     TopologyKind kind;
     std::size_t size;
+    std::size_t nib_shards;
   };
+  // Every topology at one NIB shard (the default) and at four.
   const Entry topologies[] = {
-      {TopologyKind::kKdlLike, 16},
-      {TopologyKind::kB4, 0},
-      {TopologyKind::kFatTree, 4},
+      {TopologyKind::kKdlLike, 16, 1}, {TopologyKind::kB4, 0, 1},
+      {TopologyKind::kFatTree, 4, 1},  {TopologyKind::kKdlLike, 16, 4},
+      {TopologyKind::kB4, 0, 4},       {TopologyKind::kFatTree, 4, 4},
   };
-  constexpr std::uint64_t kSeeds = 18;  // 18 x 3 topologies = 54 campaigns
+  constexpr std::uint64_t kSeeds = 18;  // 18 x 6 cells = 108 campaigns
 
   // The sweep runs on the ParallelRunner pool; every campaign is an
   // independent deterministic simulation, so parallel execution must not
@@ -103,7 +134,8 @@ TEST(ChaosCampaign, SweepFiftyCampaignsAcrossTopologiesDeterministically) {
   std::vector<CampaignConfig> configs;
   for (const Entry& entry : topologies) {
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      configs.push_back(sweep_config(entry.kind, entry.size, seed));
+      configs.push_back(
+          sweep_config(entry.kind, entry.size, seed, entry.nib_shards));
     }
   }
   ParallelRunner runner;
@@ -111,7 +143,9 @@ TEST(ChaosCampaign, SweepFiftyCampaignsAcrossTopologiesDeterministically) {
   ASSERT_EQ(results.size(), configs.size());
 
   std::size_t campaigns = 0;
-  std::set<std::uint64_t> fingerprints;
+  // (nib_shards, schedule fingerprint): a seed draws the same schedule at
+  // both shard counts unless a component crash picks a per-shard stage.
+  std::set<std::pair<std::size_t, std::uint64_t>> fingerprints;
   struct Witness {
     Entry entry;
     std::uint64_t fingerprint;
@@ -123,24 +157,26 @@ TEST(ChaosCampaign, SweepFiftyCampaignsAcrossTopologiesDeterministically) {
     const CampaignConfig& config = configs[i];
     ++campaigns;
     EXPECT_TRUE(result.ok)
-        << to_string(config.topology) << " seed " << config.seed << ": "
+        << to_string(config.topology) << " nib_shards "
+        << config.core.nib_shards << " seed " << config.seed << ": "
         << result.summary();
     EXPECT_GT(result.stats.faults_injected, 0u);
-    fingerprints.insert(result.schedule_fingerprint);
+    fingerprints.insert({config.core.nib_shards, result.schedule_fingerprint});
     if (config.seed == 1) {
-      witnesses.push_back({{config.topology, config.topology_size},
+      witnesses.push_back({{config.topology, config.topology_size,
+                            config.core.nib_shards},
                            result.schedule_fingerprint,
                            result.verdict_digest()});
     }
   }
-  EXPECT_GE(campaigns, 50u);
+  EXPECT_GE(campaigns, 100u);
   // Seeds decorrelate: near-every schedule is distinct.
   EXPECT_GT(fingerprints.size(), campaigns - 3);
   // Re-running a witness seed *serially* reproduces schedule and verdict
   // exactly — the serial-vs-parallel determinism contract.
   for (const Witness& witness : witnesses) {
-    ChaosCampaign campaign(
-        sweep_config(witness.entry.kind, witness.entry.size, 1));
+    ChaosCampaign campaign(sweep_config(witness.entry.kind, witness.entry.size,
+                                        1, witness.entry.nib_shards));
     CampaignResult result = campaign.run();
     EXPECT_EQ(result.schedule_fingerprint, witness.fingerprint);
     EXPECT_EQ(result.verdict_digest(), witness.digest);

@@ -155,6 +155,13 @@ TEST(Conformance, GoldenFingerprintCorpusMatchesLiveRuns) {
         << "stale golden entry '" << name
         << "' no longer produced; run scripts/update_golden.sh";
   }
+  // Cross-cell pins: the all-strong consistency cell adds nothing to the
+  // default chaos cell, and the NIB shard count never changes the final
+  // state of a chaos-free soak.
+  EXPECT_EQ(live["consistency_fattree4_s1_strong.verdict"],
+            live["chaos_fattree4_s1.verdict"]);
+  EXPECT_EQ(live["soak_fattree4_bs16_shards4.nib"],
+            live["soak_fattree4_bs16.nib"]);
 }
 
 // Parses the flat {"name": "text", ...} format MC_CELLS.json uses (string

@@ -324,18 +324,22 @@ TEST(ConsistencyChaos, EventualGridHoldsE1E2UnderLockstep) {
   };
   std::size_t eventual_commits = 0;
   for (const Cell& cell : cells) {
-    CampaignConfig config = grid_config(cell.topology, cell.size, cell.seed);
-    ChaosCampaign campaign(config);
-    CampaignResult result = campaign.run();
-    EXPECT_TRUE(result.ok)
-        << chaos::to_string(cell.topology) << " seed " << cell.seed << ": "
-        << result.summary();
-    eventual_commits += result.stats.eventual_commits;
-    EXPECT_EQ(result.stats.strong_barriers,
-              result.stats.strong_barriers);  // telemetry present
-    // Determinism: the eventual path stays a pure function of the seed.
-    ChaosCampaign rerun(config);
-    EXPECT_EQ(rerun.run().verdict_digest(), result.verdict_digest());
+    // Every cell at one NIB shard (the default) and at four.
+    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      CampaignConfig config = grid_config(cell.topology, cell.size, cell.seed);
+      config.core.nib_shards = shards;
+      ChaosCampaign campaign(config);
+      CampaignResult result = campaign.run();
+      EXPECT_TRUE(result.ok)
+          << chaos::to_string(cell.topology) << " seed " << cell.seed
+          << " nib_shards " << shards << ": " << result.summary();
+      eventual_commits += result.stats.eventual_commits;
+      EXPECT_EQ(result.stats.strong_barriers,
+                result.stats.strong_barriers);  // telemetry present
+      // Determinism: the eventual path stays a pure function of the seed.
+      ChaosCampaign rerun(config);
+      EXPECT_EQ(rerun.run().verdict_digest(), result.verdict_digest());
+    }
   }
   EXPECT_GT(eventual_commits, 0u)
       << "the grid never exercised the eventual path";

@@ -3,6 +3,8 @@
 // §G ordering-bug regression.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dag/compiler.h"
 #include "harness/experiment.h"
 #include "harness/workload.h"
@@ -103,28 +105,44 @@ TEST(CoreSwitchFailure, PermanentFailureThenAppRepairConverges) {
 }
 
 TEST(CoreComponentFailure, EachComponentCrashIsSurvivable) {
-  // Crash every component type mid-installation; the Watchdog restarts it
-  // and the DAG still converges (Table 3 CP Partial).
-  std::vector<std::string> names{"dag_scheduler", "sequencer0", "sequencer1",
-                                 "nib_event_handler", "worker0",
-                                 "monitoring", "topo_handler"};
-  for (const std::string& name : names) {
-    Experiment exp(gen::linear(6), zenith_config(23));
-    exp.start();
-    Workload workload(&exp, 29);
-    Dag dag = workload.initial_dag_for_pairs(
-        {{SwitchId(0), SwitchId(5)}, {SwitchId(5), SwitchId(0)}});
-    DagId id = dag.id();
-    exp.order_checker().register_dag(dag);
-    exp.controller().submit_dag(std::move(dag));
-    // Crash shortly after submission (mid-pipeline).
-    exp.run_for(millis(2));
-    exp.controller().crash_component(name);
-    auto converged = exp.run_until(
-        [&] { return exp.checker().converged(id); }, seconds(30));
-    EXPECT_TRUE(converged.has_value()) << "crash of " << name << " deadlocked";
-    EXPECT_TRUE(exp.order_checker().ok()) << "order violated after " << name;
+  // Crash every component of the wiring mid-installation — each pipeline
+  // stage of every NIB shard included; the Watchdog restarts it and the DAG
+  // still converges (Table 3 CP Partial).
+  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ExperimentConfig config = zenith_config(23);
+    config.core.nib_shards = shards;
+    for (const std::string& name :
+         ZenithController::component_names(config.core)) {
+      Experiment exp(gen::linear(6), config);
+      exp.start();
+      Workload workload(&exp, 29);
+      Dag dag = workload.initial_dag_for_pairs(
+          {{SwitchId(0), SwitchId(5)}, {SwitchId(5), SwitchId(0)}});
+      DagId id = dag.id();
+      exp.order_checker().register_dag(dag);
+      exp.controller().submit_dag(std::move(dag));
+      // Crash shortly after submission (mid-pipeline).
+      exp.run_for(millis(2));
+      exp.controller().crash_component(name);
+      auto converged = exp.run_until(
+          [&] { return exp.checker().converged(id); }, seconds(30));
+      EXPECT_TRUE(converged.has_value())
+          << "crash of " << name << " deadlocked (shards=" << shards << ")";
+      EXPECT_TRUE(exp.order_checker().ok())
+          << "order violated after " << name << " (shards=" << shards << ")";
+    }
   }
+}
+
+TEST(CoreComponentFailure, CrashOfUnknownComponentIsAnError) {
+  // A crash aimed at a component the wiring lacks must not pass silently.
+  Experiment exp(gen::linear(3), zenith_config(5));
+  exp.start();
+  EXPECT_THROW(exp.controller().crash_component("monitoring"),
+               std::invalid_argument);
+  EXPECT_THROW(exp.controller().crash_component("nib_event_handler"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(exp.controller().crash_component("monitoring0"));
 }
 
 TEST(CoreComponentFailure, RepeatedWorkerCrashesDoNotLoseOps) {

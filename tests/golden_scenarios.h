@@ -3,9 +3,10 @@
 // conformance diff test, so the two can never drift apart.
 //
 // Everything here is a timing-inclusive digest of a fully deterministic
-// run, pinned at batch_size=1 unless the name says otherwise (the
-// determinism contract in CoreConfig::batch_size: timing-sensitive
-// artifacts are golden only at the batch size they were recorded at).
+// run, pinned at batch_size=1 and one NIB shard unless the name says
+// otherwise (the determinism contract in CoreConfig::batch_size:
+// timing-sensitive artifacts are golden only at the batch size they were
+// recorded at; the same holds for nib_shards).
 // Regenerate with scripts/update_golden.sh after any INTENDED behaviour
 // change; an unintended diff is a regression in pipeline determinism or
 // semantics and should be treated like a failing invariant.
@@ -30,11 +31,13 @@ inline SoakResult run_soak_cell(std::size_t batch_size,
                                 std::uint64_t seed = 9,
                                 std::size_t groups = 4,
                                 std::size_t flows_per_group = 8,
-                                std::size_t target_ops = 2000) {
+                                std::size_t target_ops = 2000,
+                                std::size_t nib_shards = 1) {
   ExperimentConfig config;
   config.seed = 16 + seed;
   config.kind = ControllerKind::kZenithNR;
   config.core.batch_size = batch_size;
+  config.core.nib_shards = nib_shards;
   config.poll_interval = millis(2);
   config.scoped_convergence = true;
   Experiment exp(gen::fat_tree(4), config);
@@ -56,14 +59,16 @@ inline SoakResult run_soak_cell(std::size_t batch_size,
 }
 
 /// The PR-3 chaos determinism grid: {kdl_like(16), b4, fat_tree(4)} x
-/// seeds 1..4, default (batch_size=1) core.
+/// seeds 1..4, default (batch_size=1, one NIB shard) core.
 inline chaos::CampaignConfig chaos_cell_config(chaos::TopologyKind topology,
                                                std::size_t size,
-                                               std::uint64_t seed) {
+                                               std::uint64_t seed,
+                                               std::size_t nib_shards = 1) {
   chaos::CampaignConfig config;
   config.topology = topology;
   config.topology_size = size;
   config.seed = seed;
+  config.core.nib_shards = nib_shards;
   config.schedule.horizon = seconds(4);
   config.schedule.fault_count = 10;
   config.initial_flows = 4;
@@ -77,8 +82,10 @@ inline chaos::CampaignConfig chaos_cell_config(chaos::TopologyKind topology,
 /// schedule/trace/metrics fingerprints across unplanned leader failovers.
 inline chaos::CampaignConfig repl_cell_config(chaos::TopologyKind topology,
                                               std::size_t size,
-                                              std::uint64_t seed) {
-  chaos::CampaignConfig config = chaos_cell_config(topology, size, seed);
+                                              std::uint64_t seed,
+                                              std::size_t nib_shards = 1) {
+  chaos::CampaignConfig config =
+      chaos_cell_config(topology, size, seed, nib_shards);
   config.core.repl.num_shards = 2;
   config.schedule.fault_count = 12;
   config.schedule.weights.repl_kill_leader = 0.18;
@@ -114,12 +121,14 @@ inline chaos::CampaignConfig consistency_cell_config(bool eventual,
 inline mc::LockstepConfig lockstep_cell_config(chaos::TopologyKind topology,
                                                std::size_t size,
                                                std::size_t batch_size,
-                                               std::uint64_t seed) {
+                                               std::uint64_t seed,
+                                               std::size_t nib_shards = 1) {
   mc::LockstepConfig config;
   config.campaign.topology = topology;
   config.campaign.topology_size = size;
   config.campaign.seed = seed;
   config.campaign.core.batch_size = batch_size;
+  config.campaign.core.nib_shards = nib_shards;
   config.campaign.schedule.horizon = seconds(3);
   config.campaign.schedule.fault_count = 8;
   config.campaign.initial_flows = 4;
@@ -181,13 +190,44 @@ inline std::map<std::string, std::uint64_t> compute_fingerprints() {
   }
 
   // Lockstep conformance grid: per-phase abstraction digests pinned at the
-  // batching extremes (bs=1 classic, bs=16 coalescing).
+  // batching extremes (bs=1 singleton, bs=16 coalescing).
   for (const Cell& cell : cells) {
     for (std::size_t bs : {std::size_t{1}, std::size_t{16}}) {
       mc::LockstepChecker checker(
           lockstep_cell_config(cell.kind, cell.size, bs, /*seed=*/1));
       out["lockstep_" + std::string(cell.name) + "_bs" + std::to_string(bs) +
           ".report"] = checker.run().report_digest();
+    }
+  }
+
+  // The same pipeline at four NIB shards: the bs=16 soak (its .nib must
+  // equal the one-shard cell's — shard count changes timing, never
+  // outcome), chaos and replicated chaos seeds 1-2, and the lockstep grid.
+  {
+    DeliveryOrderRecorder recorder;
+    SoakResult result = run_soak_cell(16, &recorder, 9, 4, 8, 2000,
+                                      /*nib_shards=*/4);
+    out["soak_fattree4_bs16_shards4.nib"] = result.nib_fingerprint;
+    out["soak_fattree4_bs16_shards4.delivery"] = recorder.fingerprint();
+  }
+  for (const Cell& cell : cells) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const std::string suffix =
+          "_s" + std::to_string(seed) + "_shards4.verdict";
+      out["chaos_" + std::string(cell.name) + suffix] =
+          chaos::ChaosCampaign(chaos_cell_config(cell.kind, cell.size, seed, 4))
+              .run()
+              .verdict_digest();
+      out["repl_" + std::string(cell.name) + suffix] =
+          chaos::ChaosCampaign(repl_cell_config(cell.kind, cell.size, seed, 4))
+              .run()
+              .verdict_digest();
+    }
+    for (std::size_t bs : {std::size_t{1}, std::size_t{16}}) {
+      mc::LockstepChecker checker(
+          lockstep_cell_config(cell.kind, cell.size, bs, /*seed=*/1, 4));
+      out["lockstep_" + std::string(cell.name) + "_bs" + std::to_string(bs) +
+          "_shards4.report"] = checker.run().report_digest();
     }
   }
   return out;

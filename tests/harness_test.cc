@@ -83,6 +83,43 @@ TEST(WorkloadTest, RepairDagAvoidsDeadSwitchesEntirely) {
   }
 }
 
+// build_replacement assigns max + 1 from a running maximum; the reference
+// is Listing 6's HighestPriorityInOPSet scan over every flow's current OPs.
+TEST(WorkloadTest, ReplacementPriorityMatchesFullScan) {
+  Experiment exp(gen::b4(), zenith_config(37));
+  exp.start();
+  Workload workload(&exp, 41);
+  auto expect_scan_priority = [&](const std::optional<Dag>& dag, int want) {
+    if (!dag.has_value()) return;
+    for (const Op* op : dag->all_ops()) {
+      if (op->type == OpType::kInstallRule) {
+        EXPECT_EQ(op->rule.priority, want) << to_string(*op);
+      }
+    }
+  };
+  int want = highest_priority(workload.all_flow_ops()) + 1;
+  expect_scan_priority(workload.initial_dag(6), want);
+  for (int i = 0; i < 120; ++i) {
+    want = highest_priority(workload.all_flow_ops()) + 1;
+    switch (i % 4) {
+      case 0:
+        expect_scan_priority(workload.reroute_dag(), want);
+        break;
+      case 1:
+        expect_scan_priority(
+            workload.repair_dag({SwitchId(static_cast<std::uint32_t>(i % 12))}),
+            want);
+        break;
+      case 2:
+        expect_scan_priority(workload.initial_dag(1), want);
+        break;
+      default:
+        expect_scan_priority(workload.next_update_dag(), want);
+        break;
+    }
+  }
+}
+
 TEST(PreloadTest, BackgroundEntriesAreConsistentState) {
   Experiment exp(gen::linear(5), zenith_config(29));
   exp.start();

@@ -209,9 +209,12 @@ TEST(LockstepDeliberateBug, PopBeforeProcessIsCaughtAndShrinks) {
   // The loss window is one worker service step, so the cell stretches
   // worker_service (as the mark_up_before_reset hunts stretch the deferred
   // reset) to give randomly-timed crashes a realistic chance of landing in
-  // it; a crash-heavy schedule supplies plenty of attempts.
+  // it; a crash-heavy schedule supplies plenty of attempts. Crash targets
+  // are drawn from the whole wiring (13 components at one NIB shard, 4 of
+  // them workers), so only a few seeds in 40 land a crash in the window:
+  // the hunt covers 32.
   bool caught = false;
-  for (std::uint64_t seed = 1; seed <= 8 && !caught; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 32 && !caught; ++seed) {
     LockstepConfig config = small_cell(TopologyKind::kKdlLike, 16, 4, seed);
     make_crash_heavy(config);
     config.campaign.core.bugs.pop_before_process = true;
@@ -236,7 +239,7 @@ TEST(LockstepDeliberateBug, PopBeforeProcessIsCaughtAndShrinks) {
     EXPECT_GE(shrunk.oracle_runs, 1u);
   }
   EXPECT_TRUE(caught)
-      << "pop_before_process never diverged across 8 seeds — the harness "
+      << "pop_before_process never diverged across 32 seeds — the harness "
          "has no teeth";
 }
 

@@ -236,8 +236,11 @@ TEST(ObsBatchMetrics, BatchCommitReportsKnownOpsNotWireSize) {
     return op;
   };
   // One registered OP + five orphans (state a previous master installed).
+  // The known OP is recorded SENT, as a Worker records it before the send:
+  // the CommitPump commits only OPs still SENT.
   Op known = make_op(900);
   exp.nib().put_op(known);
+  exp.nib().set_op_status(known.id, OpStatus::kSent);
   SwitchRequest req;
   req.type = SwitchRequest::Type::kBatch;
   req.batch.push_back(known);
@@ -247,7 +250,7 @@ TEST(ObsBatchMetrics, BatchCommitReportsKnownOpsNotWireSize) {
   exp.fabric().send(SwitchId(0), req);
   exp.run_for(millis(100));
 
-  // Histogram bins on [1, 65) with 16 bins are 4 wide: a sample of 1 (the
+  // Observed after the CommitPump step. Histogram bins on [1, 65) with 16 bins are 4 wide: a sample of 1 (the
   // committed count) lands in bin 0; the buggy wire size 6 would land in
   // bin 1.
   Histogram& h =
@@ -292,6 +295,7 @@ TEST(ObsBatchMetrics, SingleOpBatchAckCommitsExactlyOnce) {
   op.sw = SwitchId(1);
   op.rule = FlowRule{FlowId(950), SwitchId(1), SwitchId(2), SwitchId(2), 1};
   exp.nib().put_op(op);
+  exp.nib().set_op_status(op.id, OpStatus::kSent);
   SwitchRequest req;
   req.type = SwitchRequest::Type::kBatch;
   req.batch.push_back(op);

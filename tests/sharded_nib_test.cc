@@ -1,13 +1,13 @@
 // Sharded-NIB equivalence (PR 8).
 //
 // Two layers of evidence that nib_shards changes throughput, never outcomes:
-//  * randomized index churn applied identically to a sharded NIB, an
-//    unsharded mirror, and a plain-map oracle — every secondary-index query
+//  * randomized index churn applied identically to a sharded NIB, a
+//    one-shard mirror, and a plain-map oracle — every secondary-index query
 //    and both fingerprint forms must agree at every checkpoint;
 //  * full pipeline runs (the soak workload, chaos off so OpId streams are
-//    comparable) across nib_shards in {0, 2, 4, 8} and commit_threads in
-//    {0, 3} — final NIB fingerprints and op counts must be byte-identical
-//    to the classic single-threaded path.
+//    comparable) at nib_shards in {1, 2, 4, 8} — final NIB fingerprints,
+//    folded shard fingerprints and op counts must be byte-identical to the
+//    one-shard run.
 // The chaos-on case asserts only cleanliness (0 invariant violations):
 // CLEAR_TCAM recovery consumes OpIds, so cross-arm fingerprints are not
 // comparable once chaos timing differs.
@@ -50,7 +50,7 @@ Op make_install(std::uint32_t id, std::uint32_t sw) {
 }
 
 // Randomized churn: puts, status flips, health flips, view edits — applied
-// in lockstep to a sharded NIB and an unsharded mirror, checked against a
+// in lockstep to a sharded NIB and a one-shard mirror, checked against a
 // plain std::map oracle and against each other.
 TEST(ShardedNib, RandomChurnMatchesOracleAcrossShardCounts) {
   constexpr std::uint32_t kSwitches = 32;
@@ -62,7 +62,7 @@ TEST(ShardedNib, RandomChurnMatchesOracleAcrossShardCounts) {
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
     Nib sharded;
     sharded.configure_sharding(shards);
-    Nib mirror;  // classic single-index layout
+    Nib mirror;  // one shard: a single status index
     std::map<std::uint32_t, std::pair<std::uint32_t, OpStatus>> oracle;
 
     Rng rng(0xC0FFEE ^ shards);
@@ -145,7 +145,7 @@ TEST(ShardedNib, RandomChurnMatchesOracleAcrossShardCounts) {
 // the fold over the shard digests commits to the same state regardless of
 // how the NIB itself is configured.
 TEST(ShardedNib, FoldedFingerprintIsConfigurationIndependent) {
-  Nib a;  // unsharded
+  Nib a;  // one shard
   Nib b;
   b.configure_sharding(4);
   for (std::uint32_t sw = 0; sw < 16; ++sw) {
@@ -192,14 +192,12 @@ struct PipelineRun {
   std::uint64_t folded_fingerprint = 0;
 };
 
-PipelineRun run_pipeline(std::size_t nib_shards, std::size_t commit_threads,
-                         bool chaos) {
+PipelineRun run_pipeline(std::size_t nib_shards, bool chaos) {
   ExperimentConfig config;
   config.seed = 23;
   config.kind = ControllerKind::kZenithNR;
   config.core.batch_size = 16;
   config.core.nib_shards = nib_shards;
-  config.core.commit_threads = commit_threads;
   config.poll_interval = millis(2);
   config.scoped_convergence = true;
 
@@ -226,43 +224,23 @@ PipelineRun run_pipeline(std::size_t nib_shards, std::size_t commit_threads,
   return run;
 }
 
-TEST(ShardedPipeline, MatchesUnshardedFingerprintChaosOff) {
-  PipelineRun classic = run_pipeline(/*nib_shards=*/0, /*commit_threads=*/0,
-                                     /*chaos=*/false);
-  PipelineRun sharded = run_pipeline(/*nib_shards=*/4, /*commit_threads=*/0,
-                                     /*chaos=*/false);
-  ASSERT_EQ(classic.soak.invariant_violations, 0u);
-  ASSERT_EQ(sharded.soak.invariant_violations, 0u);
-  EXPECT_EQ(sharded.soak.ops_completed, classic.soak.ops_completed);
-  EXPECT_EQ(sharded.soak.nib_fingerprint, classic.soak.nib_fingerprint);
-  EXPECT_EQ(sharded.folded_fingerprint, classic.folded_fingerprint);
-}
-
-TEST(ShardedPipeline, ShardCountDoesNotChangeOutcome) {
-  PipelineRun two = run_pipeline(2, 0, /*chaos=*/false);
-  PipelineRun eight = run_pipeline(8, 0, /*chaos=*/false);
-  ASSERT_EQ(two.soak.invariant_violations, 0u);
-  ASSERT_EQ(eight.soak.invariant_violations, 0u);
-  EXPECT_EQ(two.soak.ops_completed, eight.soak.ops_completed);
-  EXPECT_EQ(two.soak.nib_fingerprint, eight.soak.nib_fingerprint);
-}
-
-// commit_threads fans the per-shard commit jobs over a real thread pool;
-// the parallel-commit section contract says the result is byte-identical
-// to the serial shard-order application. This is the case the CI TSan
-// stage re-runs with a bigger budget.
-TEST(ShardedPipeline, CommitThreadPoolIsByteIdenticalToSerial) {
-  PipelineRun serial = run_pipeline(4, /*commit_threads=*/0, /*chaos=*/false);
-  PipelineRun pooled = run_pipeline(4, /*commit_threads=*/3, /*chaos=*/false);
-  ASSERT_EQ(serial.soak.invariant_violations, 0u);
-  ASSERT_EQ(pooled.soak.invariant_violations, 0u);
-  EXPECT_EQ(pooled.soak.ops_completed, serial.soak.ops_completed);
-  EXPECT_EQ(pooled.soak.nib_fingerprint, serial.soak.nib_fingerprint);
-  EXPECT_EQ(pooled.folded_fingerprint, serial.folded_fingerprint);
+TEST(ShardedPipeline, ShardCountDoesNotChangeOutcomeChaosOff) {
+  PipelineRun one = run_pipeline(/*nib_shards=*/1, /*chaos=*/false);
+  ASSERT_EQ(one.soak.invariant_violations, 0u);
+  for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    PipelineRun many = run_pipeline(shards, /*chaos=*/false);
+    ASSERT_EQ(many.soak.invariant_violations, 0u) << "shards=" << shards;
+    EXPECT_EQ(many.soak.ops_completed, one.soak.ops_completed)
+        << "shards=" << shards;
+    EXPECT_EQ(many.soak.nib_fingerprint, one.soak.nib_fingerprint)
+        << "shards=" << shards;
+    EXPECT_EQ(many.folded_fingerprint, one.folded_fingerprint)
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardedPipeline, ChaosSoakStaysClean) {
-  PipelineRun run = run_pipeline(4, /*commit_threads=*/3, /*chaos=*/true);
+  PipelineRun run = run_pipeline(4, /*chaos=*/true);
   EXPECT_GE(run.soak.ops_completed, soak_ops_budget());
   EXPECT_EQ(run.soak.timeouts, 0u);
   EXPECT_EQ(run.soak.invariant_violations, 0u);
