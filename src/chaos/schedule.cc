@@ -81,10 +81,6 @@ std::uint64_t ChaosSchedule::fingerprint() const {
   return hash;
 }
 
-std::vector<std::string> component_roster(const CoreConfig& core) {
-  return ZenithController::component_names(core);
-}
-
 ChaosSchedule generate_schedule(const Topology& topo, const CoreConfig& core,
                                 const ChaosScheduleConfig& config,
                                 std::uint64_t seed) {
@@ -92,7 +88,9 @@ ChaosSchedule generate_schedule(const Topology& topo, const CoreConfig& core,
   ChaosSchedule schedule;
   schedule.seed = seed;
 
-  const std::vector<std::string> components = component_roster(core);
+  // Crash targets: every component of the wiring `core` builds.
+  const std::vector<std::string> components =
+      ZenithController::component_names(core);
   const FaultWeights& w = config.weights;
   struct WeightedKind {
     double weight;

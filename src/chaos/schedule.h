@@ -103,13 +103,9 @@ struct ChaosSchedule {
   std::uint64_t fingerprint() const;
 };
 
-/// The kComponentCrash targets for a controller built with `core`: every
-/// component of its wiring (ZenithController::component_names), so each
-/// crash fault names a component that exists.
-std::vector<std::string> component_roster(const CoreConfig& core);
-
-/// Deterministically generates a schedule. `core` supplies the component
-/// roster (component_roster) for kComponentCrash targets.
+/// Deterministically generates a schedule. kComponentCrash targets are
+/// drawn from ZenithController::component_names(core), so each names a
+/// component of the wiring `core` builds.
 ChaosSchedule generate_schedule(const Topology& topo, const CoreConfig& core,
                                 const ChaosScheduleConfig& config,
                                 std::uint64_t seed);

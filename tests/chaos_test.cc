@@ -104,7 +104,8 @@ TEST(ChaosSchedule, RosterNamesResolveAtEveryShardCount) {
       for (Component* c : exp.controller().components()) {
         live.push_back(c->name());
       }
-      const std::vector<std::string> roster = component_roster(config.core);
+      const std::vector<std::string> roster =
+          ZenithController::component_names(config.core);
       for (const std::string& name : roster) {
         EXPECT_NE(exp.controller().component(name), nullptr)
             << name << " missing at nib_shards=" << shards;

@@ -209,20 +209,29 @@ TEST(LockstepDeliberateBug, PopBeforeProcessIsCaughtAndShrinks) {
   // The loss window is one worker service step, so the cell stretches
   // worker_service (as the mark_up_before_reset hunts stretch the deferred
   // reset) to give randomly-timed crashes a realistic chance of landing in
-  // it; a crash-heavy schedule supplies plenty of attempts. Crash targets
-  // are drawn from the whole wiring (13 components at one NIB shard, 4 of
-  // them workers), so only a few seeds in 40 land a crash in the window:
-  // the hunt covers 32.
+  // it; a crash-heavy schedule supplies plenty of attempts. The schedule
+  // draws crash targets from the whole wiring, where workers are a minority,
+  // so the hunt aims every component crash at a worker.
   bool caught = false;
-  for (std::uint64_t seed = 1; seed <= 32 && !caught; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 8 && !caught; ++seed) {
     LockstepConfig config = small_cell(TopologyKind::kKdlLike, 16, 4, seed);
     make_crash_heavy(config);
     config.campaign.core.bugs.pop_before_process = true;
     config.campaign.core.worker_service = millis(10);
     config.campaign.schedule.fault_count = 20;
     config.settle_timeout = seconds(5);
+    chaos::ChaosSchedule schedule = chaos::generate_schedule(
+        chaos::make_topology(config.campaign), config.campaign.core,
+        config.campaign.schedule, seed);
+    std::size_t next_worker = 0;
+    for (chaos::ChaosEvent& event : schedule.events) {
+      if (event.kind != chaos::FaultKind::kComponentCrash) continue;
+      event.component = "worker" + std::to_string(
+                                       next_worker++ %
+                                       config.campaign.core.num_workers);
+    }
     LockstepChecker checker(config);
-    LockstepReport report = checker.run();
+    LockstepReport report = checker.run(schedule);
     if (!report.diverged) continue;
     caught = true;
     ASSERT_FALSE(report.divergences.empty());
@@ -230,16 +239,16 @@ TEST(LockstepDeliberateBug, PopBeforeProcessIsCaughtAndShrinks) {
     EXPECT_FALSE(report.flight_recorder_dump.empty());
 
     LockstepChecker::DivergenceShrink shrunk =
-        checker.shrink(checker.schedule());
+        checker.shrink(schedule);
     EXPECT_TRUE(shrunk.minimal_report.diverged);
     EXPECT_LE(shrunk.minimal.size(), 15u)
         << "reproducer did not shrink: " << shrunk.trace.to_string();
-    EXPECT_LE(shrunk.minimal.size(), checker.schedule().size());
+    EXPECT_LE(shrunk.minimal.size(), schedule.size());
     EXPECT_FALSE(shrunk.trace.violation.empty());
     EXPECT_GE(shrunk.oracle_runs, 1u);
   }
   EXPECT_TRUE(caught)
-      << "pop_before_process never diverged across 32 seeds — the harness "
+      << "pop_before_process never diverged across 8 seeds — the harness "
          "has no teeth";
 }
 

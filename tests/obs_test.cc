@@ -250,9 +250,9 @@ TEST(ObsBatchMetrics, BatchCommitReportsKnownOpsNotWireSize) {
   exp.fabric().send(SwitchId(0), req);
   exp.run_for(millis(100));
 
-  // Observed after the CommitPump step. Histogram bins on [1, 65) with 16 bins are 4 wide: a sample of 1 (the
-  // committed count) lands in bin 0; the buggy wire size 6 would land in
-  // bin 1.
+  // Observed after the CommitPump step. Histogram bins on [1, 65) with 16
+  // bins are 4 wide: a sample of 1 (the committed count) lands in bin 0;
+  // the buggy wire size 6 would land in bin 1.
   Histogram& h =
       o.metrics().histogram("op_batch_size", {{"stage", "commit"}}, 1.0,
                             65.0, 16);
